@@ -23,6 +23,7 @@
 //! engine pools use) and stitches results back in sweep order. The report
 //! is byte-identical for any worker count.
 
+use safex_nn::pool::chunk_lens;
 use safex_nn::{
     layer_checksums, ActivationFault, Engine, FaultInjector, FaultPlan, HardenConfig,
     HardenedEngine, HardenedQEngine, HealthEvent, HealthSink, InputFault, Model, QModel,
@@ -405,22 +406,6 @@ struct CellSpec {
     class: FaultClass,
     rate: f64,
     cell_seed: u64,
-}
-
-/// Splits `n` work items into `workers` contiguous chunk lengths that
-/// differ by at most one (earlier chunks take the remainder) — the same
-/// static partitioning `safex_nn`'s engine pools use. Public so other
-/// deterministic sweep drivers (`safex-falsify`) partition identically:
-/// as long as each item's seed is fixed *before* partitioning, the chunk
-/// layout cannot influence any RNG stream and results stitched in chunk
-/// order are byte-identical for any worker count.
-pub fn chunk_lens(n: usize, workers: usize) -> Vec<usize> {
-    let base = n / workers;
-    let rem = n % workers;
-    (0..workers)
-        .map(|i| base + usize::from(i < rem))
-        .filter(|&len| len > 0)
-        .collect()
 }
 
 /// Runs the cell list on `workers` scoped threads and stitches results

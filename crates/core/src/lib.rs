@@ -49,11 +49,11 @@ pub mod pipeline;
 pub mod report;
 
 pub use campaign::{
-    chunk_lens, CampaignConfig, CampaignPattern, CampaignReport, CellReport, FaultClass,
-    InputSupervision,
+    CampaignConfig, CampaignPattern, CampaignReport, CellReport, FaultClass, InputSupervision,
 };
 pub use error::CoreError;
 pub use health::{
     HealthConfig, HealthMonitor, HealthState, HealthVerdict, LadderState, Transition,
 };
 pub use pipeline::{PipelineBuilder, SafePipeline};
+pub use safex_nn::pool::chunk_lens;

@@ -35,7 +35,7 @@ use crate::error::NnError;
 use crate::fault::{apply_input_fault, FaultPlan, Injection, InjectionLog};
 use crate::layer::Layer;
 use crate::model::Model;
-use crate::pool::run_partitioned;
+use crate::pool::Lanes;
 
 /// A detected anomaly, typed so consumers can weigh classes differently.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -697,6 +697,19 @@ impl HardenedEngine {
         self.synced_to = self.synced_to.max(index);
     }
 
+    /// Replays, before decision `index`, the silent repairs of every
+    /// scheduled check this replica skipped, so its weights match the
+    /// sequential reference. Pool dispatch calls this at the end of a
+    /// batch in which some replica repaired a fault: a replica that ran
+    /// none of that batch's checks would otherwise carry the repaired
+    /// fault past the next [`HardenedEngine::sync_to`].
+    pub(crate) fn settle(&mut self, index: u64) {
+        if self.config.repair.is_some() && self.config.crc_cadence > 0 && !self.golden.is_empty() {
+            self.catch_up(index);
+            self.sync_to(index);
+        }
+    }
+
     /// Replays the silent repairs a sequential engine would have applied
     /// on the scheduled checks in `[synced_to, index)` — the catch-up that
     /// keeps a pooled replica's weights byte-identical to the sequential
@@ -1184,7 +1197,7 @@ pub struct CheckedClassification {
 /// the same global indices.
 #[derive(Debug, Clone)]
 pub struct HardenedPool {
-    workers: Vec<HardenedEngine>,
+    workers: Lanes<HardenedEngine>,
     dispatched: u64,
 }
 
@@ -1195,16 +1208,11 @@ impl HardenedPool {
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
     pub fn new(engine: &HardenedEngine, workers: usize) -> Result<Self, NnError> {
-        if workers == 0 {
-            return Err(NnError::Pool("pool needs at least one worker".into()));
-        }
-        let workers = (0..workers)
-            .map(|_| {
-                let mut replica = engine.clone();
-                replica.detach_observers();
-                replica
-            })
-            .collect();
+        let workers = Lanes::new(workers, || {
+            let mut replica = engine.clone();
+            replica.detach_observers();
+            replica
+        })?;
         Ok(HardenedPool {
             workers,
             dispatched: 0,
@@ -1213,7 +1221,7 @@ impl HardenedPool {
 
     /// Number of worker replicas.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.replicas().len()
     }
 
     /// Mutable access to every replica, e.g. to apply the same recorded
@@ -1221,7 +1229,7 @@ impl HardenedPool {
     /// them — replicas must stay byte-identical or batch output would
     /// depend on which replica serves which item.
     pub fn engines_mut(&mut self) -> &mut [HardenedEngine] {
-        &mut self.workers
+        self.workers.replicas_mut()
     }
 
     /// Decisions dispatched so far (the next batch starts at this global
@@ -1234,7 +1242,7 @@ impl HardenedPool {
     /// checksums without the mutable-borrow commitments of
     /// [`HardenedPool::engines_mut`]).
     pub fn engines(&self) -> &[HardenedEngine] {
-        &self.workers
+        self.workers.replicas()
     }
 
     /// Restores the pool's dispatch clock after a snapshot restore: sets
@@ -1245,7 +1253,7 @@ impl HardenedPool {
     /// to the uninterrupted pool.
     pub fn resync(&mut self, dispatched: u64) {
         self.dispatched = dispatched;
-        for worker in &mut self.workers {
+        for worker in self.workers.replicas_mut() {
             worker.sync_to(dispatched);
         }
     }
@@ -1265,11 +1273,12 @@ impl HardenedPool {
     /// left re-goldened but the caller must treat any error as a failed
     /// swap and discard the pool.
     pub fn regolden(&mut self) -> Result<(), NnError> {
-        for worker in &mut self.workers {
+        for worker in self.workers.replicas_mut() {
             worker.rebaseline();
         }
-        let reference: Vec<(usize, u32)> = self.workers[0].golden_checksums().to_vec();
-        for (i, worker) in self.workers.iter().enumerate() {
+        let replicas = self.workers.replicas();
+        let reference: Vec<(usize, u32)> = replicas[0].golden_checksums().to_vec();
+        for (i, worker) in replicas.iter().enumerate() {
             worker.verify_weights().map_err(|e| {
                 NnError::Fault(format!("replica {i} failed post-regolden verify: {e}"))
             })?;
@@ -1289,7 +1298,7 @@ impl HardenedPool {
     ///
     /// Returns [`NnError::InputShape`] if any input has the wrong element
     /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[f32]> + Sync>(
+    pub fn classify_batch<I: AsRef<[f32]>>(
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<CheckedClassification>, NnError> {
@@ -1300,23 +1309,32 @@ impl HardenedPool {
         // catch-up from replaying pre-strike scheduled checks — which the
         // sequential reference saw as clean — against post-strike
         // weights.
-        for worker in &mut self.workers {
+        for worker in self.workers.replicas_mut() {
             worker.sync_to(base);
         }
-        let indexed: Vec<(u64, &[f32])> = inputs
-            .iter()
-            .enumerate()
-            .map(|(k, x)| (base + k as u64, x.as_ref()))
-            .collect();
-        let out = run_partitioned(&mut self.workers, &indexed, |engine, &(index, input)| {
-            let classification = engine.classify_indexed(index, input)?;
-            Ok(CheckedClassification {
-                classification,
-                events: engine.last_events().to_vec(),
-                injections: engine.last_injections().to_vec(),
-            })
-        })?;
+        let out = self
+            .workers
+            .dispatch(base, inputs, |engine, start, chunk, out| {
+                for (index, input) in (start..).zip(chunk) {
+                    let classification = engine.classify_indexed(index, input)?;
+                    out.push(CheckedClassification {
+                        classification,
+                        events: engine.last_events().to_vec(),
+                        injections: engine.last_injections().to_vec(),
+                    });
+                }
+                Ok(())
+            })?;
         self.dispatched = base + inputs.len() as u64;
+        let repaired = out
+            .iter()
+            .flat_map(|c| &c.events)
+            .any(|e| matches!(e, HealthEvent::CorrectedFault { .. }));
+        if repaired {
+            for worker in self.workers.replicas_mut() {
+                worker.settle(self.dispatched);
+            }
+        }
         Ok(out)
     }
 }

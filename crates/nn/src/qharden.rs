@@ -36,7 +36,7 @@ use crate::error::NnError;
 use crate::harden::{
     crc32_words, CheckedClassification, CrcStrategy, HardenConfig, HealthEvent, HealthSink,
 };
-use crate::pool::run_partitioned;
+use crate::pool::Lanes;
 use crate::quant::{run_qlayer, run_qlayer_digest, QLayer, QModel};
 
 /// The parametric buffers checksums cover, if the layer has any.
@@ -788,7 +788,7 @@ impl HardenedQEngine {
 /// performs no plan-driven injections, so that field is always empty.
 #[derive(Debug, Clone)]
 pub struct HardenedQPool {
-    workers: Vec<HardenedQEngine>,
+    workers: Lanes<HardenedQEngine>,
     dispatched: u64,
 }
 
@@ -799,16 +799,11 @@ impl HardenedQPool {
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
     pub fn new(engine: &HardenedQEngine, workers: usize) -> Result<Self, NnError> {
-        if workers == 0 {
-            return Err(NnError::Pool("pool needs at least one worker".into()));
-        }
-        let workers = (0..workers)
-            .map(|_| {
-                let mut replica = engine.clone();
-                replica.detach_observers();
-                replica
-            })
-            .collect();
+        let workers = Lanes::new(workers, || {
+            let mut replica = engine.clone();
+            replica.detach_observers();
+            replica
+        })?;
         Ok(HardenedQPool {
             workers,
             dispatched: 0,
@@ -817,7 +812,7 @@ impl HardenedQPool {
 
     /// Number of worker replicas.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.replicas().len()
     }
 
     /// Decisions dispatched so far (the next batch starts at this global
@@ -833,7 +828,7 @@ impl HardenedQPool {
     ///
     /// Returns [`NnError::InputShape`] if any input has the wrong element
     /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[Q16_16]> + Sync>(
+    pub fn classify_batch<I: AsRef<[Q16_16]>>(
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<CheckedClassification>, NnError> {
@@ -841,22 +836,22 @@ impl HardenedQPool {
         // Strikes land between batches and hit every replica identically;
         // re-sync so repair catch-up never replays pre-strike checks (see
         // `HardenedPool::classify_batch`).
-        for worker in &mut self.workers {
+        for worker in self.workers.replicas_mut() {
             worker.sync_to(base);
         }
-        let indexed: Vec<(u64, &[Q16_16])> = inputs
-            .iter()
-            .enumerate()
-            .map(|(k, x)| (base + k as u64, x.as_ref()))
-            .collect();
-        let out = run_partitioned(&mut self.workers, &indexed, |engine, &(index, input)| {
-            let classification = engine.classify_indexed(index, input)?;
-            Ok(CheckedClassification {
-                classification,
-                events: engine.last_events().to_vec(),
-                injections: Vec::new(),
-            })
-        })?;
+        let out = self
+            .workers
+            .dispatch(base, inputs, |engine, start, chunk, out| {
+                for (index, input) in (start..).zip(chunk) {
+                    let classification = engine.classify_indexed(index, input)?;
+                    out.push(CheckedClassification {
+                        classification,
+                        events: engine.last_events().to_vec(),
+                        injections: Vec::new(),
+                    });
+                }
+                Ok(())
+            })?;
         self.dispatched = base + inputs.len() as u64;
         Ok(out)
     }

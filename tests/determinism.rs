@@ -384,6 +384,106 @@ fn fused_pool_matrix_bit_identical_for_float_and_quant() {
     }
 }
 
+/// Pool replicas persist across batches, so their state must stay in
+/// lockstep: one pool fed several consecutive batches, with a weight
+/// strike on every replica between two of them, must match a sequential
+/// engine struck at the same decision, for every worker count, for the
+/// float pool (Full and Rotating CRC every second decision, ECC repair)
+/// and the Q16.16 pool.
+#[test]
+fn pool_matrix_holds_across_consecutive_batches_and_strikes() {
+    use safexplain::nn::{
+        apply_weight_flips, CheckedClassification, CrcStrategy, EccConfig, FaultInjector,
+        HardenConfig, HardenedEngine, HardenedPool, HardenedQEngine, HardenedQPool, HealthEvent,
+    };
+
+    let data = dataset(10, 18);
+    let model = demo::train_mlp(&data, 10, 8).expect("train");
+    let inputs: Vec<Vec<f32>> = data.samples().iter().map(|s| s.input.clone()).collect();
+    // Uneven batches: some smaller than the pool, some larger.
+    let bounds = [0, 5, 6, 13, 16, inputs.len()];
+    let strike_at = 13;
+    let flips = FaultInjector::new(0xBAD5EED)
+        .flip_weight_bits(&mut model.clone(), 1, 1)
+        .expect("draw strike");
+    for crc_strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
+        let harden = HardenConfig {
+            crc_cadence: 2,
+            crc_strategy,
+            repair: Some(EccConfig::default()),
+            ..HardenConfig::default()
+        };
+        let mut engine = HardenedEngine::new(model.clone(), harden).expect("harden");
+        engine.calibrate(&inputs).expect("calibrate");
+
+        let mut seq = engine.clone();
+        let mut expected = Vec::new();
+        for (i, x) in inputs.iter().enumerate() {
+            if i == strike_at {
+                apply_weight_flips(seq.model_mut(), &flips).expect("strike");
+            }
+            let classification = seq.classify_indexed(i as u64, x).expect("classify");
+            expected.push(CheckedClassification {
+                classification,
+                events: seq.last_events().to_vec(),
+                injections: seq.last_injections().to_vec(),
+            });
+        }
+        assert!(
+            expected
+                .iter()
+                .flat_map(|c| &c.events)
+                .any(|e| matches!(e, HealthEvent::CorrectedFault { .. })),
+            "{crc_strategy:?}: the strike must be seen and repaired"
+        );
+        for workers in [1usize, 2, 4, 8] {
+            let mut pool = HardenedPool::new(&engine, workers).expect("pool");
+            let mut got = Vec::new();
+            for span in bounds.windows(2) {
+                if span[0] == strike_at {
+                    for replica in pool.engines_mut() {
+                        apply_weight_flips(replica.model_mut(), &flips).expect("strike");
+                    }
+                }
+                got.extend(
+                    pool.classify_batch(&inputs[span[0]..span[1]])
+                        .expect("batch"),
+                );
+            }
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{expected:?}"),
+                "{crc_strategy:?} float pool diverged at {workers} workers"
+            );
+        }
+    }
+
+    let qmodel = QModel::quantize(&model).expect("quantize");
+    let qinputs: Vec<Vec<Q16_16>> = inputs
+        .iter()
+        .map(|x| x.iter().map(|&v| Q16_16::from_f32(v)).collect())
+        .collect();
+    let mut qengine = HardenedQEngine::new(qmodel, HardenConfig::default()).expect("harden");
+    qengine.calibrate(&qinputs).expect("calibrate");
+    let mut qseq = qengine.clone();
+    let qexpected: Vec<_> = qinputs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| qseq.classify_indexed(i as u64, x).expect("classify"))
+        .collect();
+    for workers in [1usize, 2, 4, 8] {
+        let mut pool = HardenedQPool::new(&qengine, workers).expect("pool");
+        let mut got = Vec::new();
+        for span in bounds.windows(2) {
+            let batch = pool
+                .classify_batch(&qinputs[span[0]..span[1]])
+                .expect("batch");
+            got.extend(batch.into_iter().map(|c| c.classification));
+        }
+        assert_eq!(got, qexpected, "quant pool diverged at {workers} workers");
+    }
+}
+
 /// `SafePipeline::decide_batch` must append evidence records in input
 /// order, and its decisions must match one-at-a-time `decide` calls.
 #[test]
