@@ -103,6 +103,55 @@ proptest! {
         }
     }
 
+    // ----- the Exact dense tile against its definition -----
+
+    #[test]
+    fn dense_exact_tile_matches_scalar_reference(
+        seed in any::<u64>(),
+        inputs in 1usize..=40,
+        outputs in 1usize..=19,
+        batch in 0usize..=9,
+        src_slack in 0usize..=3,
+        dst_slack in 0usize..=3,
+    ) {
+        // Half the values are ±1 or ±2^30, so ±2^60 products absorb the
+        // small ones and then cancel exactly: the f32 result depends on
+        // which small terms each partial sum absorbed, i.e. on the add order.
+        let mut rng = DetRng::new(seed);
+        let mut value = || {
+            let sign = if rng.below(2) == 0 { 1.0f32 } else { -1.0 };
+            match rng.below(4) {
+                0 => sign,
+                1 => sign * 2f32.powi(30),
+                _ => rng.next_f32() * 2.0 - 1.0,
+            }
+        };
+        let w: Vec<f32> = (0..inputs * outputs).map(|_| value()).collect();
+        let b: Vec<f32> = (0..outputs).map(|_| value()).collect();
+        let (src_stride, dst_stride) = (inputs + src_slack, outputs + dst_slack);
+        let src: Vec<f32> = (0..batch * src_stride).map(|_| value()).collect();
+        let mut dst = vec![f32::NAN; batch * dst_stride];
+        ops::dense_batch_into_with(
+            DenseKernel::Exact, &w, &b, &src, &mut dst, inputs, outputs, batch,
+            src_stride, dst_stride,
+        )
+        .expect("dense");
+        for item in 0..batch {
+            let x = &src[item * src_stride..][..inputs];
+            let want: Vec<u32> = (0..outputs)
+                .map(|o| dense_row_exact(&w[o * inputs..][..inputs], x, b[o]).to_bits())
+                .collect();
+            let row = &dst[item * dst_stride..][..dst_stride];
+            let got: Vec<u32> = row[..outputs].iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "batch item {}", item);
+            prop_assert!(row[outputs..].iter().all(|v| v.is_nan()), "slack written");
+            let mut solo = vec![0.0f32; outputs];
+            ops::dense_into(&w, &b, x, &mut solo, inputs, outputs).expect("dense");
+            let solo: Vec<u32> = solo.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&solo, &want, "per-item call, item {}", item);
+        }
+    }
+
     // ----- fixed point -----
 
     #[test]
@@ -286,4 +335,14 @@ proptest! {
         ops::dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).expect("dense");
         prop_assert_eq!(fused, plain);
     }
+}
+
+/// The definition of one [`DenseKernel::Exact`] output: seed with the
+/// bias as f64, then `acc += w as f64 * x as f64` for each input in order.
+fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
+    let mut acc = bias as f64;
+    for (w, xi) in row.iter().zip(x) {
+        acc += *w as f64 * *xi as f64;
+    }
+    acc as f32
 }

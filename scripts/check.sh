@@ -4,6 +4,7 @@
 #
 # Usage:
 #   scripts/check.sh              # full gate: fmt, clippy, benches, tests,
+#                                 # the safexbench package's tests,
 #                                 # quick bench + fused-overhead perf smoke
 #   scripts/check.sh --tests-only # fast tier: just the workspace test suite
 #                                 # (plus the test-count floor below)
@@ -84,6 +85,12 @@ if [[ "$TOTAL" -lt "$BASELINE" ]]; then
 fi
 
 if [[ "$TESTS_ONLY" == 0 ]]; then
+    # The serve-path benchmark is a package of its own, outside the
+    # workspace; its tests hold the zero-silent-corruption gate against
+    # pristine labels and the traced-rep digest identity.
+    echo "==> cargo test --offline --manifest-path safexbench/Cargo.toml"
+    cargo test --offline --manifest-path safexbench/Cargo.toml
+
     echo "==> scripts/bench.sh --quick"
     scripts/bench.sh --quick
 fi
