@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use safex_bench::workload;
 use safex_core::campaign::{self, CampaignConfig, CampaignPattern, FaultClass, InputSupervision};
-use safex_nn::{CrcStrategy, DenseKernel, Engine, HardenConfig, HardenedEngine};
+use safex_nn::{CrcStrategy, Engine, HardenConfig, HardenedEngine};
 
 fn inputs() -> Vec<Vec<f32>> {
     let (_, test, _, _) = workload();
@@ -184,27 +184,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // The opt-in autovectorised dense kernel under full hardening: kernel
-    // tuning and CRC strategy compose.
-    let mut rotating_chunked = HardenedEngine::new(
-        model.clone(),
-        HardenConfig {
-            crc_cadence: 1,
-            crc_strategy: CrcStrategy::Rotating,
-            ..HardenConfig::default()
-        },
-    )
-    .expect("harden");
-    rotating_chunked.set_kernel(DenseKernel::Chunked);
-    rotating_chunked.calibrate(&stream).expect("calibrate");
-    group.bench_function("crc_rotating_chunked_kernel", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let x = &stream[i % stream.len()];
-            i += 1;
-            std::hint::black_box(rotating_chunked.classify(x).expect("classify"))
-        })
-    });
     group.finish();
 
     // One full weight-flip campaign cell, end to end.

@@ -82,39 +82,6 @@ fn digest(report: &CampaignReport) -> u64 {
 }
 
 #[test]
-fn fused_campaign_report_reproduces_the_full_golden() {
-    // Fused is Full with the verification sweep folded into the layer
-    // kernels: verdicts, staleness bounds, repair behaviour, and hence
-    // the whole campaign report must be byte-identical — pinned against
-    // the *Full* golden digests, not separate ones.
-    let (model, inputs) = fixture();
-    for (repair, pinned) in [
-        (false, 0xba02_e9c6_c661_7f2au64),
-        (true, 0xc04a_974e_e1f8_eda0u64),
-    ] {
-        let reference = run(&config(CrcStrategy::Fused, repair, 1), &model, &inputs).unwrap();
-        assert_eq!(
-            digest(&reference),
-            pinned,
-            "Fused drifted from the Full golden (repair={repair}): got {:#018x}",
-            digest(&reference)
-        );
-        for workers in [2usize, 8] {
-            let parallel = run(
-                &config(CrcStrategy::Fused, repair, workers),
-                &model,
-                &inputs,
-            )
-            .unwrap();
-            assert_eq!(
-                parallel, reference,
-                "{workers}-worker Fused report diverged (repair={repair})"
-            );
-        }
-    }
-}
-
-#[test]
 fn campaign_report_is_byte_identical_across_workers_and_pinned() {
     let (model, inputs) = fixture();
     // Golden digests, one per (strategy, repair) corner, computed from

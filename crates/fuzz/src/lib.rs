@@ -22,8 +22,8 @@
 //!   ordering invariants) and the health ladder (time accounting,
 //!   latched SafeStop, export/restore lockstep, tampered restores).
 //! * **Differential oracles** ([`diff`]) — pinned implementation pairs
-//!   (Full vs Fused CRC, pool worker counts, detect-only vs
-//!   ECC-repaired, f32 vs Q16.16) that must agree case by case.
+//!   (pool worker counts, detect-only vs ECC-repaired, f32 vs Q16.16)
+//!   that must agree case by case.
 //!
 //! Findings are auto-minimised ([`mutate::minimize`]) and land in
 //! `crates/fuzz/corpus/` as named regression artefacts ([`corpus`]),

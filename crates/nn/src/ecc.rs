@@ -137,15 +137,6 @@ impl EccCode {
         self.columns.len() as u64 * 32 + self.words as u64
     }
 
-    /// XOR fold of every column parity — equivalently, the XOR of every
-    /// protected word. This is the whole-buffer signature the fused
-    /// verify-on-read kernels accumulate alongside the CRC
-    /// ([`safex_tensor::WeightDigest::parity`]), letting a cadence tick
-    /// cross-check the sidecar without a second parameter sweep.
-    pub fn parity_signature(&self) -> u32 {
-        self.columns.iter().fold(0, |acc, &c| acc ^ c)
-    }
-
     fn row_parity(&self, word: usize) -> u32 {
         ((self.rows[word / 64] >> (word % 64)) & 1) as u32
     }
@@ -291,27 +282,6 @@ mod tests {
         assert_eq!(code.repair(&mut probe), RepairOutcome::Clean);
         assert_eq!(probe, words);
         assert_eq!(code.protected_words(), 70);
-    }
-
-    #[test]
-    fn parity_signature_is_whole_buffer_xor() {
-        let words = buffer(70);
-        let code = EccCode::encode(&words, EccConfig { block_words: 16 }).unwrap();
-        let folded = words.iter().fold(0u32, |acc, &w| acc ^ w);
-        assert_eq!(code.parity_signature(), folded);
-        // Block size must not matter: the fold telescopes to the same
-        // whole-buffer XOR.
-        let other = EccCode::encode(&words, EccConfig { block_words: 7 }).unwrap();
-        assert_eq!(other.parity_signature(), folded);
-        // Any single-bit flip flips the signature.
-        let mut corrupt = words.clone();
-        corrupt[13] ^= 1 << 5;
-        assert_ne!(
-            corrupt.iter().fold(0u32, |acc, &w| acc ^ w),
-            code.parity_signature()
-        );
-        let empty = EccCode::encode(&[], EccConfig::default()).unwrap();
-        assert_eq!(empty.parity_signature(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Statically-allocated deterministic inference engine.
 
-use safex_tensor::ops::{self, DenseKernel};
-use safex_tensor::{Shape, Tensor, WeightDigest};
+use safex_tensor::ops;
+use safex_tensor::{Shape, Tensor};
 
 use crate::error::NnError;
 use crate::layer::Layer;
@@ -65,26 +65,11 @@ pub struct Engine {
     arena_a: Vec<f32>,
     arena_b: Vec<f32>,
     inferences: u64,
-    kernel: DenseKernel,
 }
 
 impl Engine {
     /// Creates an engine, pre-allocating all activation buffers.
-    ///
-    /// Uses [`DenseKernel::Exact`] — bit-compatible with every previously
-    /// recorded result. See [`Engine::with_kernel`] for the opt-in fast
-    /// kernel.
     pub fn new(model: Model) -> Self {
-        Engine::with_kernel(model, DenseKernel::Exact)
-    }
-
-    /// Creates an engine with an explicit dense-kernel strategy.
-    ///
-    /// [`DenseKernel::Chunked`] is deterministic (run-to-run and
-    /// pool-worker-count bit-exact) but may differ from `Exact` in the
-    /// last bit; it trades the E5 baseline identity for a faster inner
-    /// product.
-    pub fn with_kernel(model: Model, kernel: DenseKernel) -> Self {
         let cap = model.max_activation_len();
         Engine {
             model,
@@ -93,13 +78,7 @@ impl Engine {
             arena_a: Vec::new(),
             arena_b: Vec::new(),
             inferences: 0,
-            kernel,
         }
-    }
-
-    /// The dense-kernel strategy this engine executes with.
-    pub fn kernel(&self) -> DenseKernel {
-        self.kernel
     }
 
     /// The wrapped model.
@@ -157,7 +136,6 @@ impl Engine {
                 &src[..cur_shape.len()],
                 &mut dst[..out_shape.len()],
                 &cur_shape,
-                self.kernel,
             )?;
             cur_shape = out_shape;
             cur_in_a = !cur_in_a;
@@ -203,7 +181,7 @@ impl Engine {
                 (&self.buf_b, &mut self.buf_a)
             };
             let dst = &mut dst[..out_shape.len()];
-            run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape, self.kernel)?;
+            run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
             activations.push(Tensor::from_vec(out_shape, dst.to_vec())?);
             cur_shape = out_shape;
             cur_in_a = !cur_in_a;
@@ -263,17 +241,8 @@ impl Engine {
                 (&self.arena_b, &mut self.arena_a)
             };
             if let Layer::Dense(d) = layer {
-                ops::dense_batch_into_with(
-                    self.kernel,
-                    &d.weights,
-                    &d.bias,
-                    src,
-                    dst,
-                    d.inputs,
-                    d.outputs,
-                    n,
-                    stride,
-                    stride,
+                ops::dense_batch_into(
+                    &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
                 )?;
             } else {
                 for item in 0..n {
@@ -282,7 +251,6 @@ impl Engine {
                         &src[item * stride..item * stride + cur_shape.len()],
                         &mut dst[item * stride..item * stride + out_shape.len()],
                         &cur_shape,
-                        self.kernel,
                     )?;
                 }
             }
@@ -363,11 +331,10 @@ pub(crate) fn run_layer(
     src: &[f32],
     dst: &mut [f32],
     in_shape: &Shape,
-    kernel: DenseKernel,
 ) -> Result<(), NnError> {
     match layer {
         Layer::Dense(d) => {
-            ops::dense_into_with(kernel, &d.weights, &d.bias, src, dst, d.inputs, d.outputs)?;
+            ops::dense_into(&d.weights, &d.bias, src, dst, d.inputs, d.outputs)?;
         }
         Layer::Conv2d(c) => {
             let dims = in_shape.dims();
@@ -416,46 +383,6 @@ pub(crate) fn run_layer(
         }
     }
     Ok(())
-}
-
-/// Executes a single layer like [`run_layer`], but through the fused
-/// verify-on-read kernels: parametric layers (dense, conv) return the
-/// [`WeightDigest`] their sweep accumulated over weights-then-bias, all
-/// other layers run the plain kernel and return `None`. Outputs are
-/// bit-identical to [`run_layer`].
-pub(crate) fn run_layer_digest(
-    layer: &Layer,
-    src: &[f32],
-    dst: &mut [f32],
-    in_shape: &Shape,
-    kernel: DenseKernel,
-) -> Result<Option<WeightDigest>, NnError> {
-    match layer {
-        Layer::Dense(d) => Ok(Some(ops::dense_into_digest(
-            kernel, &d.weights, &d.bias, src, dst, d.inputs, d.outputs,
-        )?)),
-        Layer::Conv2d(c) => {
-            let dims = in_shape.dims();
-            Ok(Some(ops::conv2d_into_digest(
-                src,
-                &c.weights,
-                &c.bias,
-                dst,
-                dims[0],
-                dims[1],
-                dims[2],
-                c.out_channels,
-                c.kernel,
-                c.kernel,
-                c.stride,
-                c.padding,
-            )?))
-        }
-        _ => {
-            run_layer(layer, src, dst, in_shape, kernel)?;
-            Ok(None)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -565,26 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_kernel_is_deterministic_and_tracks_exact() {
-        let m = small_mlp();
-        let mut exact = Engine::new(m.clone());
-        let mut fast = Engine::with_kernel(m, DenseKernel::Chunked);
-        assert_eq!(fast.kernel(), DenseKernel::Chunked);
-        let input = [0.25, -0.75, 0.125];
-        let e = exact.infer(&input).unwrap().to_vec();
-        let f = fast.infer(&input).unwrap().to_vec();
-        // Same model, same input: the kernels agree to float tolerance
-        // (bit-identity between the two kernels is NOT claimed)...
-        for (a, b) in e.iter().zip(&f) {
-            assert!((a - b).abs() < 1e-5, "exact {a} vs chunked {b}");
-        }
-        // ...and the chunked kernel is bit-identical run to run.
-        for _ in 0..10 {
-            assert_eq!(fast.infer(&input).unwrap(), f.as_slice());
-        }
-    }
-
-    #[test]
     fn classify_returns_argmax() {
         let mut rng = DetRng::new(0);
         let mut m = ModelBuilder::new(Shape::vector(2))
@@ -616,26 +523,24 @@ mod tests {
     #[test]
     fn infer_batch_bit_identical_to_per_item() {
         let m = small_mlp();
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            let mut solo = Engine::with_kernel(m.clone(), kernel);
-            let mut batched = Engine::with_kernel(m.clone(), kernel);
-            let inputs: Vec<Vec<f32>> = (0..7)
-                .map(|i| vec![i as f32 * 0.3, -0.5 + i as f32 * 0.1, 0.25])
-                .collect();
-            let outs = batched.infer_batch(&inputs).unwrap();
-            assert_eq!(outs.len(), inputs.len());
-            for (input, out) in inputs.iter().zip(&outs) {
-                assert_eq!(
-                    solo.infer(input).unwrap(),
-                    out.as_slice(),
-                    "{kernel:?}: arena batch must match per-item inference"
-                );
-            }
-            assert_eq!(batched.inference_count(), inputs.len() as u64);
-            // Re-running with a different batch size reuses the arena.
-            let again = batched.infer_batch(&inputs[..3]).unwrap();
-            assert_eq!(again.as_slice(), &outs[..3]);
+        let mut solo = Engine::new(m.clone());
+        let mut batched = Engine::new(m);
+        let inputs: Vec<Vec<f32>> = (0..7)
+            .map(|i| vec![i as f32 * 0.3, -0.5 + i as f32 * 0.1, 0.25])
+            .collect();
+        let outs = batched.infer_batch(&inputs).unwrap();
+        assert_eq!(outs.len(), inputs.len());
+        for (input, out) in inputs.iter().zip(&outs) {
+            assert_eq!(
+                solo.infer(input).unwrap(),
+                out.as_slice(),
+                "arena batch must match per-item inference"
+            );
         }
+        assert_eq!(batched.inference_count(), inputs.len() as u64);
+        // Re-running with a different batch size reuses the arena.
+        let again = batched.infer_batch(&inputs[..3]).unwrap();
+        assert_eq!(again.as_slice(), &outs[..3]);
     }
 
     #[test]
@@ -687,34 +592,6 @@ mod tests {
             e.infer_batch(&inputs),
             Err(NnError::InputShape { .. })
         ));
-    }
-
-    #[test]
-    fn run_layer_digest_matches_plain_layer_and_golden_crc() {
-        use crate::harden::layer_checksum;
-        let m = small_mlp();
-        let dense = &m.layers()[0];
-        let input = [0.5f32, -0.25, 0.75];
-        let mut plain = [0.0f32; 5];
-        let mut fused = [0.0f32; 5];
-        let shape = Shape::vector(3);
-        run_layer(dense, &input, &mut plain, &shape, DenseKernel::Exact).unwrap();
-        let digest = run_layer_digest(dense, &input, &mut fused, &shape, DenseKernel::Exact)
-            .unwrap()
-            .expect("dense layer is parametric");
-        assert_eq!(fused, plain);
-        assert_eq!(Some(digest.crc), layer_checksum(dense));
-        // Non-parametric layers return no digest.
-        let mut relu_out = [0.0f32; 5];
-        assert!(run_layer_digest(
-            &Layer::Relu,
-            &plain,
-            &mut relu_out,
-            &Shape::vector(5),
-            DenseKernel::Exact
-        )
-        .unwrap()
-        .is_none());
     }
 
     #[test]

@@ -81,4 +81,3 @@ pub use qharden::{
     qlayer_checksum, qlayer_checksums, HardenedQEngine, HardenedQPool, QActivationGuard,
 };
 pub use quant::{QEngine, QModel};
-pub use safex_tensor::DenseKernel;

@@ -32,7 +32,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use safex_tensor::fixed::Q16_16;
-use safex_tensor::DenseKernel;
 
 use crate::engine::{Classification, Engine};
 use crate::error::NnError;
@@ -329,21 +328,8 @@ impl EnginePool {
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
     pub fn new(model: Model, workers: usize) -> Result<Self, NnError> {
-        EnginePool::with_kernel(model, workers, DenseKernel::Exact)
-    }
-
-    /// Creates a pool whose replicas run an explicit [`DenseKernel`].
-    ///
-    /// The determinism guarantee is per kernel: for a fixed kernel, batch
-    /// output is bit-exact for every worker count (the chunked kernel is
-    /// deterministic too — just not bit-identical to `Exact`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Pool`] when `workers` is zero.
-    pub fn with_kernel(model: Model, workers: usize, kernel: DenseKernel) -> Result<Self, NnError> {
         Ok(EnginePool {
-            workers: Lanes::new(workers, || Engine::with_kernel(model.clone(), kernel))?,
+            workers: Lanes::new(workers, || Engine::new(model.clone()))?,
         })
     }
 

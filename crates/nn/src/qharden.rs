@@ -28,7 +28,7 @@
 //! [`HardenedQEngine::classify_indexed`] loop for any worker count.
 
 use safex_tensor::fixed::Q16_16;
-use safex_tensor::{CrcAccumulator, WeightDigest};
+use safex_tensor::CrcAccumulator;
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
 use crate::engine::Classification;
@@ -37,7 +37,7 @@ use crate::harden::{
     crc32_words, CheckedClassification, CrcStrategy, HardenConfig, HealthEvent, HealthSink,
 };
 use crate::pool::Lanes;
-use crate::quant::{run_qlayer, run_qlayer_digest, QLayer, QModel};
+use crate::quant::{run_qlayer, QLayer, QModel};
 
 /// The parametric buffers checksums cover, if the layer has any.
 fn q_parametric_buffers(layer: &QLayer) -> Option<(&[Q16_16], &[Q16_16])> {
@@ -90,7 +90,7 @@ pub fn qlayer_checksum(layer: &QLayer) -> Option<u32> {
         let mut acc = CrcAccumulator::new();
         acc.update_q16(weights);
         acc.update_q16(bias);
-        acc.finish().crc
+        acc.finish()
     })
 }
 
@@ -440,9 +440,7 @@ impl HardenedQEngine {
             return;
         }
         match self.config.crc_strategy {
-            // Fused covers the whole model per tick exactly like Full, so
-            // the catch-up replay is identical.
-            CrcStrategy::Full | CrcStrategy::Fused => {
+            CrcStrategy::Full => {
                 for gi in 0..self.golden.len() {
                     self.silent_repair(gi);
                 }
@@ -626,11 +624,6 @@ impl HardenedQEngine {
     }
 
     /// The core decision: verify checksums → execute → guard.
-    ///
-    /// [`CrcStrategy::Fused`] cadence ticks verify inside the layer loop
-    /// via the digest kernels and re-run once after an in-pass ECC
-    /// repair, exactly like the float twin in `harden.rs` — see
-    /// `HardenedEngine::run` for the full rationale.
     fn run(&mut self, index: u64, input: &[Q16_16]) -> Result<(usize, bool), NnError> {
         if input.len() != self.model.input_shape().len() {
             return Err(NnError::InputShape {
@@ -638,143 +631,81 @@ impl HardenedQEngine {
                 actual: input.len(),
             });
         }
-        let crc_scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
-        let on_tick = crc_scheduled && index.is_multiple_of(self.config.crc_cadence);
-        let mut verify_in_pass = on_tick && self.config.crc_strategy == CrcStrategy::Fused;
-        let mut first_attempt = true;
-        let mut crc_events: Vec<HealthEvent> = Vec::new();
+        self.events.clear();
+        self.buf_a[..input.len()].copy_from_slice(input);
 
-        let (out_len, out_in_a) = loop {
-            self.events.clear();
-            self.buf_a[..input.len()].copy_from_slice(input);
-
-            if crc_scheduled && first_attempt {
-                // See the float twin in `harden.rs`: pooled replicas
-                // first replay the silent repairs of skipped scheduled
-                // checks so their weights match the sequential reference
-                // before the layer loop reads them.
-                if self.config.repair.is_some() {
-                    self.catch_up(index);
-                }
-                if on_tick {
-                    let staleness = self.staleness_bound().unwrap_or(0);
-                    match self.config.crc_strategy {
-                        CrcStrategy::Full => {
-                            for gi in 0..self.golden.len() {
-                                self.check_slot(gi, staleness);
-                            }
-                        }
-                        CrcStrategy::Rotating => {
-                            // Cursor derived from the global decision
-                            // index, never from engine-local state: pooled
-                            // replicas replaying the same decision verify
-                            // the same layer.
-                            let tick = index / self.config.crc_cadence;
-                            let slot = (tick % self.golden.len() as u64) as usize;
-                            self.check_slot(slot, staleness);
-                        }
-                        // Verified inside the layer loop below.
-                        CrcStrategy::Fused => {}
-                    }
-                }
-                self.synced_to = self.synced_to.max(index + 1);
+        if self.config.crc_cadence > 0 && !self.golden.is_empty() {
+            // See the float twin in `harden.rs`: pooled replicas first
+            // replay the silent repairs of skipped scheduled checks so
+            // their weights match the sequential reference before the
+            // layer loop reads them.
+            if self.config.repair.is_some() {
+                self.catch_up(index);
             }
-            let splice_at = self.events.len();
-
-            let mut cur_shape = self.model.input_shape();
-            let mut cur_in_a = true;
-            let mut sweep: Vec<WeightDigest> = Vec::new();
-            for (i, layer) in self.model.layers().iter().enumerate() {
-                let out_shape = self
-                    .model
-                    .layer_output_shape(i)
-                    .expect("layer index in range");
-                let (src, dst) = if cur_in_a {
-                    (&self.buf_a, &mut self.buf_b)
-                } else {
-                    (&self.buf_b, &mut self.buf_a)
-                };
-                let dst = &mut dst[..out_shape.len()];
-                if verify_in_pass {
-                    if let Some(digest) =
-                        run_qlayer_digest(layer, &src[..cur_shape.len()], dst, &cur_shape)?
-                    {
-                        sweep.push(digest);
-                    }
-                } else {
-                    run_qlayer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
-                }
-                if let Some(guard) = &self.guard {
-                    guard.check(i, dst, &mut self.events);
-                }
-                cur_shape = out_shape;
-                cur_in_a = !cur_in_a;
-            }
-
-            if verify_in_pass {
+            if index.is_multiple_of(self.config.crc_cadence) {
                 let staleness = self.staleness_bound().unwrap_or(0);
-                let mut repaired = false;
-                for (gi, digest) in sweep.iter().enumerate() {
-                    let (layer, expected) = self.golden[gi];
-                    let parity_ok = self
-                        .sidecars
-                        .get(gi)
-                        .is_none_or(|s| s.parity_signature() == digest.parity);
-                    if digest.crc == expected && parity_ok {
-                        continue;
-                    }
-                    if self.config.repair.is_some() {
-                        if let Some((word, bit)) = self.attempt_repair(gi) {
-                            crc_events.push(HealthEvent::CorrectedFault {
-                                layer,
-                                word,
-                                bit,
-                                staleness,
-                            });
-                            repaired = true;
-                            continue;
+                match self.config.crc_strategy {
+                    CrcStrategy::Full => {
+                        for gi in 0..self.golden.len() {
+                            self.check_slot(gi, staleness);
                         }
                     }
-                    crc_events.push(HealthEvent::ChecksumMismatch {
-                        layer,
-                        expected,
-                        actual: digest.crc,
-                        staleness,
-                    });
-                }
-                if repaired {
-                    verify_in_pass = false;
-                    first_attempt = false;
-                    continue;
+                    CrcStrategy::Rotating => {
+                        // Cursor derived from the global decision index,
+                        // never from engine-local state: pooled replicas
+                        // replaying the same decision verify the same
+                        // layer.
+                        let tick = index / self.config.crc_cadence;
+                        let slot = (tick % self.golden.len() as u64) as usize;
+                        self.check_slot(slot, staleness);
+                    }
                 }
             }
-            self.events
-                .splice(splice_at..splice_at, crc_events.drain(..));
+            self.synced_to = self.synced_to.max(index + 1);
+        }
 
-            // Without a guard, still refuse to stay silent on a saturated
-            // final activation (the fixed-point "non-finite").
-            if self.guard.is_none() {
-                let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-                if let Some((index, _)) = out[..cur_shape.len()]
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| v.is_saturated())
-                {
-                    self.events.push(HealthEvent::SaturatedActivation {
-                        layer: self.model.layers().len() - 1,
-                        index,
-                    });
-                }
+        let mut cur_shape = self.model.input_shape();
+        let mut cur_in_a = true;
+        for (i, layer) in self.model.layers().iter().enumerate() {
+            let out_shape = self
+                .model
+                .layer_output_shape(i)
+                .expect("layer index in range");
+            let (src, dst) = if cur_in_a {
+                (&self.buf_a, &mut self.buf_b)
+            } else {
+                (&self.buf_b, &mut self.buf_a)
+            };
+            let dst = &mut dst[..out_shape.len()];
+            run_qlayer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
+            if let Some(guard) = &self.guard {
+                guard.check(i, dst, &mut self.events);
             }
+            cur_shape = out_shape;
+            cur_in_a = !cur_in_a;
+        }
 
-            break (cur_shape.len(), cur_in_a);
-        };
+        // Without a guard, still refuse to stay silent on a saturated
+        // final activation (the fixed-point "non-finite").
+        if self.guard.is_none() {
+            let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
+            if let Some((index, _)) = out[..cur_shape.len()]
+                .iter()
+                .enumerate()
+                .find(|(_, v)| v.is_saturated())
+            {
+                self.events.push(HealthEvent::SaturatedActivation {
+                    layer: self.model.layers().len() - 1,
+                    index,
+                });
+            }
+        }
 
         self.events_seen += self.events.len() as u64;
         if let Some(sink) = &self.sink {
             sink.extend(&self.events);
         }
-        Ok((out_len, out_in_a))
+        Ok((cur_shape.len(), cur_in_a))
     }
 }
 
@@ -1123,45 +1054,6 @@ mod tests {
         );
     }
 
-    /// Full and Fused must be indistinguishable from the outside on the
-    /// quantised path too: same outputs and same events per decision.
-    fn assert_qfused_equals_full(
-        seed: u64,
-        cadence: u64,
-        repair: Option<EccConfig>,
-        strike: &dyn Fn(&mut HardenedQEngine, u64),
-    ) {
-        let q = qmodel(seed);
-        let mk = |strategy: CrcStrategy| {
-            let config = HardenConfig {
-                crc_cadence: cadence,
-                crc_strategy: strategy,
-                repair,
-                ..HardenConfig::default()
-            };
-            let mut e = HardenedQEngine::new(q.clone(), config).unwrap();
-            e.calibrate(&qinputs(16)).unwrap();
-            e
-        };
-        let inputs = qinputs(16);
-        let mut streams = [CrcStrategy::Full, CrcStrategy::Fused].map(|strategy| {
-            let mut engine = mk(strategy);
-            let mut out = Vec::new();
-            for (i, input) in inputs.iter().enumerate() {
-                strike(&mut engine, i as u64);
-                let o = engine.infer(input).unwrap().to_vec();
-                out.push((o, engine.last_events().to_vec()));
-            }
-            out
-        });
-        let fused = streams[1].clone();
-        assert_eq!(
-            std::mem::take(&mut streams[0]),
-            fused,
-            "Fused diverged from Full (seed {seed}, cadence {cadence}, repair {repair:?})"
-        );
-    }
-
     fn qflip_weight(engine: &mut HardenedQEngine, layer: usize, word: usize, bit: u32) {
         if let QLayer::Dense { weights, .. } = &mut engine.model_mut().layers_mut()[layer] {
             weights[word] = Q16_16::from_bits(weights[word].to_bits() ^ (1 << bit));
@@ -1171,42 +1063,15 @@ mod tests {
     }
 
     #[test]
-    fn qfused_matches_full_across_scenarios() {
-        // Clean streams.
-        assert_qfused_equals_full(12, 1, None, &|_, _| {});
-        assert_qfused_equals_full(12, 3, Some(EccConfig::default()), &|_, _| {});
-        // Detect-only mid-stream flip.
-        let single = |e: &mut HardenedQEngine, i: u64| {
-            if i == 5 {
-                qflip_weight(e, 2, 0, 30);
-            }
-        };
-        assert_qfused_equals_full(13, 1, None, &single);
-        assert_qfused_equals_full(13, 4, None, &single);
-        // Repaired flip (in-pass digest → ECC correction → re-run).
-        assert_qfused_equals_full(14, 1, Some(EccConfig::default()), &single);
-        assert_qfused_equals_full(14, 2, Some(EccConfig { block_words: 8 }), &single);
-        // Uncorrectable double flip escalates identically.
-        let double = |e: &mut HardenedQEngine, i: u64| {
-            if i == 3 {
-                qflip_weight(e, 0, 0, 1);
-                qflip_weight(e, 0, 1, 7);
-            }
-        };
-        assert_qfused_equals_full(15, 1, Some(EccConfig::default()), &double);
-    }
-
-    #[test]
-    fn qfused_repair_restores_pristine_and_reports_staleness() {
+    fn qfull_repair_restores_pristine_and_reports_staleness() {
         let config = HardenConfig {
-            crc_strategy: CrcStrategy::Fused,
             repair: Some(EccConfig::default()),
             ..HardenConfig::default()
         };
         let q = qmodel(16);
         let mut reference = QEngine::new(q.clone());
         let mut hardened = HardenedQEngine::new(q, config).unwrap();
-        assert_eq!(hardened.staleness_bound(), Some(1), "Fused bound = cadence");
+        assert_eq!(hardened.staleness_bound(), Some(1), "Full bound = cadence");
         let input = &qinputs(1)[0];
         hardened.infer(input).unwrap();
         assert!(hardened.last_events().is_empty());
@@ -1233,7 +1098,7 @@ mod tests {
         // Replicas cloned from a struck engine all carry the corruption;
         // the scheduled repair mutates their weight state mid-stream, and
         // catch-up must keep pooled output byte-identical to sequential.
-        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
+        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
             let config = HardenConfig {
                 crc_cadence: 2,
                 crc_strategy: strategy,

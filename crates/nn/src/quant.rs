@@ -10,7 +10,7 @@
 
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
-use safex_tensor::{Shape, WeightDigest};
+use safex_tensor::Shape;
 
 use crate::engine::Classification;
 use crate::error::NnError;
@@ -530,56 +530,6 @@ pub(crate) fn run_qlayer(
         }
     }
     Ok(())
-}
-
-/// [`run_qlayer`] with fused verify-on-read: parametric layers execute
-/// through the digest kernels, which accumulate the CRC-32/parity
-/// [`WeightDigest`] over weights and bias in the exact order the kernel
-/// streams them (`Some`); non-parametric layers run plainly (`None`).
-pub(crate) fn run_qlayer_digest(
-    layer: &QLayer,
-    src: &[Q16_16],
-    dst: &mut [Q16_16],
-    in_shape: &Shape,
-) -> Result<Option<WeightDigest>, NnError> {
-    match layer {
-        QLayer::Dense {
-            weights,
-            bias,
-            inputs,
-            outputs,
-        } => Ok(Some(ops::dense_q16_into_digest(
-            weights, bias, src, dst, *inputs, *outputs,
-        )?)),
-        QLayer::Conv2d {
-            weights,
-            bias,
-            out_channels,
-            kernel,
-            stride,
-            padding,
-        } => {
-            let dims = in_shape.dims();
-            Ok(Some(ops::conv2d_q16_into_digest(
-                src,
-                weights,
-                bias,
-                dst,
-                dims[0],
-                dims[1],
-                dims[2],
-                *out_channels,
-                *kernel,
-                *kernel,
-                *stride,
-                *padding,
-            )?))
-        }
-        other => {
-            run_qlayer(other, src, dst, in_shape)?;
-            Ok(None)
-        }
-    }
 }
 
 fn avgpool_q16_into(

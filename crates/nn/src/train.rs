@@ -18,7 +18,6 @@ use crate::engine::run_layer;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
-use safex_tensor::DenseKernel;
 
 /// Hyperparameters for [`Trainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -296,7 +295,7 @@ fn accumulate_sample(
     for (i, layer) in model.layers().iter().enumerate() {
         let out_shape = model.layer_output_shape(i).expect("index in range");
         let mut out = vec![0.0f32; out_shape.len()];
-        run_layer(layer, &acts[i], &mut out, &shapes[i], DenseKernel::Exact)?;
+        run_layer(layer, &acts[i], &mut out, &shapes[i])?;
         acts.push(out);
         shapes.push(out_shape);
     }

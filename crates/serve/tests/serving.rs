@@ -9,7 +9,7 @@
 
 use safex_core::health::{HealthConfig, HealthState};
 use safex_nn::model::ModelBuilder;
-use safex_nn::{CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, Model};
+use safex_nn::{Engine, HardenConfig, HardenedEngine, Model};
 use safex_serve::{
     Arrival, ArrivalTrace, BatchPolicy, ModelId, Outcome, PoolBackend, Request, Server,
     ServerConfig, ShedReason, Tier, TrafficConfig,
@@ -296,57 +296,6 @@ fn weight_strike_walks_the_ladder_with_zero_silent_corruption() {
         replay.to_json().to_string_compact(),
         report.to_json().to_string_compact()
     );
-}
-
-#[test]
-fn fused_strategy_serves_byte_identically_to_full() {
-    // The fused verify-on-read kernels must be invisible at the serving
-    // boundary: same verdicts, same ladder walk, same evidence — for a
-    // clean run and for a mid-traffic strike, with and without repair.
-    let (model, inputs) = fixture();
-    let trace = TrafficConfig {
-        seed: 0xFA117,
-        requests: 160,
-        mean_interarrival: 4.0,
-        deadline: 500,
-        ..TrafficConfig::default()
-    }
-    .synthesize(&inputs)
-    .unwrap();
-    let config = ServerConfig::default().with_health(strike_health());
-    let strike = |request: &Request, fleet: &mut safex_serve::Fleet<PoolBackend>| {
-        if request.id == 40 {
-            fleet
-                .backend_mut(ModelId::new(0))
-                .unwrap()
-                .strike_weights(0xBAD5EED, 1, 2)
-                .unwrap();
-        }
-    };
-    for repair in [false, true] {
-        let mut reports = Vec::new();
-        for strategy in [CrcStrategy::Full, CrcStrategy::Fused] {
-            let harden = HardenConfig {
-                crc_strategy: strategy,
-                repair: repair.then(EccConfig::default),
-                ..HardenConfig::default()
-            };
-            let mut engine = HardenedEngine::new(model.clone(), harden).unwrap();
-            engine.calibrate(&inputs).unwrap();
-            let backend = PoolBackend::new(&engine, 4).unwrap();
-            let mut server = Server::single(config.clone(), backend).unwrap();
-            reports.push(server.run_trace_with(&trace, strike).unwrap());
-        }
-        assert_eq!(
-            reports[0], reports[1],
-            "Fused serve run diverged from Full (repair={repair})"
-        );
-        assert_eq!(
-            reports[0].to_json().to_string_compact(),
-            reports[1].to_json().to_string_compact(),
-            "Fused serve JSON diverged from Full (repair={repair})"
-        );
-    }
 }
 
 #[test]

@@ -1,22 +1,15 @@
-//! CRC-32 primitives and the streaming verification digest the fused
-//! kernels accumulate.
+//! CRC-32 primitives for the golden-checksum verification.
 //!
 //! The hardened engines in `safex-nn` pin every parametric layer to a
-//! CRC-32 golden checksum and (optionally) an ECC parity sidecar. Until
-//! PR 8 that verification was a *second* sweep over weight memory that
-//! the inference pass had just streamed — the dominant share of the
-//! hardening tax. This module hosts the checksum machinery at the tensor
-//! layer so the kernels in [`crate::ops`] can fold it into the matmul
-//! sweep itself:
+//! CRC-32 golden checksum over its weights-then-bias word stream and
+//! re-verify it before the layer loop on each cadence tick:
 //!
-//! * [`crc32`] / [`crc32_words`] — the one-shot checksums (moved here
-//!   from `safex-nn`, which re-exports them unchanged).
-//! * [`CrcAccumulator`] — a streaming accumulator that is bit-identical
-//!   to [`crc32_words`] for *any* chunking of the word stream, so a
-//!   kernel can feed it one cache-hot weight row at a time.
-//! * [`WeightDigest`] — what a fused sweep returns: the CRC-32 word
-//!   checksum plus the XOR parity fold the ECC sidecar's column
-//!   signature is built from.
+//! * [`crc32`] / [`crc32_words`] — the one-shot checksums (`safex-nn`
+//!   re-exports them unchanged).
+//! * [`CrcAccumulator`] — a streaming accumulator over whole slices,
+//!   bit-identical to [`crc32_words`] for *any* chunking of the word
+//!   stream, with a PCLMULQDQ fold for the bulk of each slice. It is the
+//!   fast path behind the per-layer checksums.
 
 use crate::fixed::Q16_16;
 
@@ -27,10 +20,10 @@ use crate::fixed::Q16_16;
 /// the 32-bit running register.
 ///
 /// Bit-identical to the slicing tables for any input — it computes the
-/// same polynomial remainder, just ~an order of magnitude faster — so the
-/// fused verify-on-read kernels can checksum entire weight matrices for a
-/// small fraction of the inference cost. Heads, tails, and machines
-/// without the instructions stay on the table path.
+/// same polynomial remainder, just ~an order of magnitude faster — so a
+/// layer checksum over an entire weight matrix costs a small fraction of
+/// the inference pass. Heads, tails, and machines without the
+/// instructions stay on the table path.
 #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
 mod clmul {
     use std::arch::x86_64::{
@@ -242,35 +235,18 @@ pub fn crc32_words(words: impl IntoIterator<Item = u32>) -> u32 {
     !crc
 }
 
-/// What one fused kernel sweep attests about the parameters it streamed.
-///
-/// `crc` is bit-identical to [`crc32_words`] over the layer's
-/// weights-then-bias word stream (the golden-checksum order); `parity`
-/// is the XOR fold of the same words, which equals the XOR of the ECC
-/// sidecar's per-block column parities — a second, independent signature
-/// that rides along for free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct WeightDigest {
-    /// CRC-32 over the streamed words, identical to [`crc32_words`].
-    pub crc: u32,
-    /// XOR fold of the streamed words (the ECC column-parity signature).
-    pub parity: u32,
-}
-
-/// Streaming CRC-32 + parity accumulator.
+/// Streaming CRC-32 accumulator.
 ///
 /// Feeding it any sequence of slices whose concatenation is the word
-/// stream produces the same [`WeightDigest`] as a single
-/// [`crc32_words`] pass — chunk boundaries are invisible because an odd
-/// trailing word is held back (`pending`) and paired with the first word
-/// of the next slice, preserving the slicing-by-8 pair alignment. That
-/// is exactly what the fused kernels need: they digest one weight row at
-/// a time, while it is still cache-hot from the MAC loop, and rows may
-/// have odd lengths.
+/// stream produces the same CRC as a single [`crc32_words`] pass — chunk
+/// boundaries are invisible because an odd trailing word is held back
+/// (`pending`) and paired with the first word of the next slice,
+/// preserving the slicing-by-8 pair alignment. A layer checksum needs
+/// exactly that: it feeds the weights and then the bias as two slices,
+/// and the weights may hold an odd number of words.
 #[derive(Debug, Clone)]
 pub struct CrcAccumulator {
     crc: u32,
-    parity: u32,
     pending: Option<u32>,
 }
 
@@ -281,11 +257,10 @@ impl Default for CrcAccumulator {
 }
 
 impl CrcAccumulator {
-    /// Starts a fresh digest (CRC preconditioned, empty parity).
+    /// Starts a fresh checksum (CRC preconditioned).
     pub fn new() -> Self {
         CrcAccumulator {
             crc: 0xFFFF_FFFF,
-            parity: 0,
             pending: None,
         }
     }
@@ -309,9 +284,8 @@ impl CrcAccumulator {
     ///
     /// A held odd word is flushed first to keep chunk boundaries
     /// invisible; then, on x86-64 with `pclmulqdq`, the bulk interior is
-    /// folded 64 bytes at a time by [`clmul::fold_words`] (the parity XOR
-    /// over the same prefix auto-vectorises); the remainder runs through
-    /// the slicing-by-8 pair step. Every path computes the identical CRC
+    /// folded 64 bytes at a time by [`clmul::fold_words`]; the remainder
+    /// runs through the slicing-by-8 pair step. Every path computes the identical CRC
     /// — the fold is an algebraic shortcut, not a different checksum.
     #[inline]
     fn update_with<T: Copy>(&mut self, values: &[T], to_bits: impl Fn(T) -> u32) {
@@ -320,9 +294,7 @@ impl CrcAccumulator {
             let Some((&first, tail)) = rest.split_first() else {
                 return;
             };
-            let w = to_bits(first);
-            self.parity ^= w;
-            self.pair_step(held, w);
+            self.pair_step(held, to_bits(first));
             self.pending = None;
             rest = tail;
         }
@@ -332,45 +304,37 @@ impl CrcAccumulator {
             let fold_len = rest.len() & !3;
             if fold_len >= 16 && clmul::available() {
                 let (head, tail) = rest.split_at(fold_len);
-                for &v in head {
-                    self.parity ^= to_bits(v);
-                }
                 self.crc = clmul::fold_words(self.crc, head, &to_bits);
                 rest = tail;
             }
         }
         let mut pairs = rest.chunks_exact(2);
         for pair in &mut pairs {
-            let w0 = to_bits(pair[0]);
-            let w1 = to_bits(pair[1]);
-            self.parity ^= w0 ^ w1;
-            self.pair_step(w0, w1);
+            self.pair_step(to_bits(pair[0]), to_bits(pair[1]));
         }
         if let Some(&last) = pairs.remainder().first() {
-            let w = to_bits(last);
-            self.parity ^= w;
-            self.pending = Some(w);
+            self.pending = Some(to_bits(last));
         }
     }
 
-    /// Digests a slice of raw 32-bit words.
+    /// Checksums a slice of raw 32-bit words.
     pub fn update_words(&mut self, words: &[u32]) {
         self.update_with(words, |w| w);
     }
 
-    /// Digests an `f32` buffer as its IEEE-754 bit words.
+    /// Checksums an `f32` buffer as its IEEE-754 bit words.
     pub fn update_f32(&mut self, values: &[f32]) {
         self.update_with(values, f32::to_bits);
     }
 
-    /// Digests a Q16.16 buffer as its raw bit words.
+    /// Checksums a Q16.16 buffer as its raw bit words.
     pub fn update_q16(&mut self, values: &[Q16_16]) {
         self.update_with(values, |q| q.to_bits() as u32);
     }
 
-    /// Finalises the digest: flushes a held odd word through the
+    /// Finalises the checksum: flushes a held odd word through the
     /// slicing-by-4 tail step and applies the CRC final inversion.
-    pub fn finish(self) -> WeightDigest {
+    pub fn finish(self) -> u32 {
         let t = &CRC_TABLES;
         let mut crc = self.crc;
         if let Some(w0) = self.pending {
@@ -380,28 +344,8 @@ impl CrcAccumulator {
                 ^ t[1][((a >> 16) & 0xFF) as usize]
                 ^ t[0][(a >> 24) as usize];
         }
-        WeightDigest {
-            crc: !crc,
-            parity: self.parity,
-        }
+        !crc
     }
-}
-
-/// One-shot [`WeightDigest`] over an `f32` weights-then-bias stream —
-/// the reference the fused kernels are pinned against.
-pub fn digest_f32(weights: &[f32], bias: &[f32]) -> WeightDigest {
-    let mut acc = CrcAccumulator::new();
-    acc.update_f32(weights);
-    acc.update_f32(bias);
-    acc.finish()
-}
-
-/// One-shot [`WeightDigest`] over a Q16.16 weights-then-bias stream.
-pub fn digest_q16(weights: &[Q16_16], bias: &[Q16_16]) -> WeightDigest {
-    let mut acc = CrcAccumulator::new();
-    acc.update_q16(weights);
-    acc.update_q16(bias);
-    acc.finish()
 }
 
 #[cfg(test)]
@@ -432,23 +376,20 @@ mod tests {
     fn accumulator_is_chunking_independent() {
         let ws = words(129);
         let expected = crc32_words(ws.iter().copied());
-        let expected_parity = ws.iter().fold(0u32, |acc, &w| acc ^ w);
         // Every split point, including ones that leave an odd word
         // pending across the boundary.
         for split in 0..=ws.len() {
             let mut acc = CrcAccumulator::new();
             acc.update_words(&ws[..split]);
             acc.update_words(&ws[split..]);
-            let digest = acc.finish();
-            assert_eq!(digest.crc, expected, "split at {split}");
-            assert_eq!(digest.parity, expected_parity, "split at {split}");
+            assert_eq!(acc.finish(), expected, "split at {split}");
         }
         // Many tiny odd-sized chunks.
         let mut acc = CrcAccumulator::new();
         for chunk in ws.chunks(3) {
             acc.update_words(chunk);
         }
-        assert_eq!(acc.finish().crc, expected);
+        assert_eq!(acc.finish(), expected);
     }
 
     #[test]
@@ -461,12 +402,9 @@ mod tests {
         for n in lengths {
             let ws = words(n);
             let expected = crc32_words(ws.iter().copied());
-            let expected_parity = ws.iter().fold(0u32, |acc, &w| acc ^ w);
             let mut acc = CrcAccumulator::new();
             acc.update_words(&ws);
-            let digest = acc.finish();
-            assert_eq!(digest.crc, expected, "n = {n}");
-            assert_eq!(digest.parity, expected_parity, "n = {n}");
+            assert_eq!(acc.finish(), expected, "n = {n}");
         }
     }
 
@@ -480,26 +418,31 @@ mod tests {
             let mut acc = CrcAccumulator::new();
             acc.update_words(&ws[..head]);
             acc.update_words(&ws[head..]);
-            assert_eq!(acc.finish().crc, expected, "head = {head}");
+            assert_eq!(acc.finish(), expected, "head = {head}");
         }
     }
 
     #[test]
     fn empty_digest_matches_empty_crc() {
-        let digest = CrcAccumulator::new().finish();
-        assert_eq!(digest.crc, crc32_words(std::iter::empty()));
-        assert_eq!(digest.parity, 0);
+        assert_eq!(
+            CrcAccumulator::new().finish(),
+            crc32_words(std::iter::empty())
+        );
     }
 
     #[test]
     fn typed_updates_match_bit_streams() {
         let fs: Vec<f32> = (0..11).map(|i| i as f32 * 0.37 - 1.5).collect();
         let expected = crc32_words(fs.iter().map(|v| v.to_bits()));
-        assert_eq!(digest_f32(&fs, &[]).crc, expected);
+        let mut acc = CrcAccumulator::new();
+        acc.update_f32(&fs);
+        assert_eq!(acc.finish(), expected);
 
         let qs: Vec<Q16_16> = (0..11).map(|i| Q16_16::from_f32(i as f32 * 0.25)).collect();
         let expected_q = crc32_words(qs.iter().map(|q| q.to_bits() as u32));
-        assert_eq!(digest_q16(&qs, &[]).crc, expected_q);
+        let mut acc = CrcAccumulator::new();
+        acc.update_q16(&qs);
+        assert_eq!(acc.finish(), expected_q);
     }
 
     #[test]
@@ -507,6 +450,9 @@ mod tests {
         let w: Vec<f32> = (0..7).map(|i| i as f32 + 0.5).collect();
         let b: Vec<f32> = (0..3).map(|i| i as f32 - 0.25).collect();
         let expected = crc32_words(w.iter().chain(&b).map(|v| v.to_bits()));
-        assert_eq!(digest_f32(&w, &b).crc, expected);
+        let mut acc = CrcAccumulator::new();
+        acc.update_f32(&w);
+        acc.update_f32(&b);
+        assert_eq!(acc.finish(), expected);
     }
 }

@@ -62,10 +62,9 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 
-pub use crc::{CrcAccumulator, WeightDigest};
+pub use crc::CrcAccumulator;
 pub use error::TensorError;
 pub use fixed::{Q16_16, Q8_24};
-pub use ops::DenseKernel;
 pub use rng::DetRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

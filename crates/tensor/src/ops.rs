@@ -15,7 +15,6 @@
 //!   the fixed-point variants) accumulators, so results are bit-for-bit
 //!   reproducible.
 
-use crate::crc::{CrcAccumulator, WeightDigest};
 use crate::error::TensorError;
 use crate::fixed::Q16_16;
 
@@ -48,46 +47,12 @@ pub fn matmul_into(
     Ok(())
 }
 
-/// Inner-product strategy for the dense layer — the hottest loop in the
-/// workspace (every engine, pool worker, and campaign cell runs it).
-///
-/// Both kernels are fully deterministic: each fixes its accumulation
-/// order and accumulator width, so repeated runs (and pooled runs, for
-/// any worker count) are bit-identical *within* a kernel. They are **not**
-/// guaranteed bit-identical to *each other*: `Chunked` reassociates the
-/// f64 sum, which can round differently after the final f32 cast.
-/// `Exact` therefore stays the default — it preserves the experiment E5
-/// baseline bit for bit — and `Chunked` is the opt-in fast path with its
-/// own determinism matrix (`tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DenseKernel {
-    /// Strict left-to-right f64 accumulation: one chain per output,
-    /// seeded with the bias, then `acc += w as f64 * x as f64` for every
-    /// input in order. Bit-compatible with every result recorded before
-    /// the kernel knob existed.
-    ///
-    /// The chains run as a tile: eight output rows against two batch
-    /// items (against the one item at batch 1), sixteen or eight
-    /// independent chains in flight, so the f64 add latency is hidden at
-    /// every batch size. The tile never changes a chain's own operation sequence, so
-    /// every output is bit-identical to the one-chain-at-a-time
-    /// definition — pinned against a scalar reference for every row and
-    /// item remainder of the tile by `dense_exact_tile_matches_scalar_reference`
-    /// (`crates/tensor/tests/props.rs`).
-    #[default]
-    Exact,
-    /// Four independent f64 accumulators over 4-element chunks, combined
-    /// as `(a0 + a1) + (a2 + a3) + tail`. The independent lanes break the
-    /// loop-carried dependence so the compiler can keep multiple FMAs in
-    /// flight / autovectorize; the combine order is fixed, so the result
-    /// is still a pure function of (weights, bias, x).
-    Chunked,
-}
-
 /// Dense (fully-connected) layer: `out = w (outputs x inputs) * x + bias`.
 ///
-/// Uses the [`DenseKernel::Exact`] accumulation order; this is the
-/// batch-of-one case of [`dense_batch_into_with`].
+/// Strict left-to-right f64 accumulation: one chain per output, seeded
+/// with the bias, then `acc += w as f64 * x as f64` for every input in
+/// order. This is the batch-of-one case of [`dense_batch_into`], which
+/// runs the chains as a tile.
 ///
 /// # Errors
 ///
@@ -101,103 +66,9 @@ pub fn dense_into(
     inputs: usize,
     outputs: usize,
 ) -> Result<(), TensorError> {
-    dense_into_with(DenseKernel::Exact, weights, bias, x, out, inputs, outputs)
-}
-
-/// One [`DenseKernel::Chunked`] inner product: four independent f64
-/// lanes over 4-element chunks plus a sequential tail, combined in a
-/// fixed order.
-///
-/// Kept out of line: inlined into [`dense_arena`]'s loops, the compiler
-/// pairs the lanes differently and the 256×48 layer measured ~50 %
-/// slower.
-#[inline(never)]
-fn dense_row_chunked(row: &[f32], x: &[f32], bias: f32) -> f32 {
-    let mut lanes = [0.0f64; 4];
-    let mut rw = row.chunks_exact(4);
-    let mut rx = x.chunks_exact(4);
-    for (w4, x4) in (&mut rw).zip(&mut rx) {
-        lanes[0] += w4[0] as f64 * x4[0] as f64;
-        lanes[1] += w4[1] as f64 * x4[1] as f64;
-        lanes[2] += w4[2] as f64 * x4[2] as f64;
-        lanes[3] += w4[3] as f64 * x4[3] as f64;
-    }
-    let mut tail = bias as f64;
-    for (w, xi) in rw.remainder().iter().zip(rx.remainder()) {
-        tail += *w as f64 * *xi as f64;
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail) as f32
-}
-
-/// Dense layer with the [`DenseKernel::Chunked`] inner product: four
-/// independent f64 accumulators over 4-element chunks, sequential tail,
-/// combined in a fixed order. Deterministic (see [`DenseKernel`]) but not
-/// bit-identical to [`dense_into`] in general.
-///
-/// # Errors
-///
-/// Same contract as [`dense_into`].
-pub fn dense_into_chunked(
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<(), TensorError> {
-    dense_into_with(DenseKernel::Chunked, weights, bias, x, out, inputs, outputs)
-}
-
-/// Dense layer dispatching on a [`DenseKernel`].
-///
-/// # Errors
-///
-/// Same contract as [`dense_into`].
-pub fn dense_into_with(
-    kernel: DenseKernel,
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<(), TensorError> {
     let arena = DenseArena::single(weights, bias, x, out, inputs, outputs)?;
-    dense_arena(kernel, weights, bias, x, out, arena, None);
+    dense_arena(weights, bias, x, out, arena);
     Ok(())
-}
-
-/// Dense layer with fused verify-on-read: one sweep computes the outputs
-/// *and* accumulates the [`WeightDigest`] over the weights-then-bias word
-/// stream, i.e. the golden-checksum order.
-///
-/// The weight rows are digested in order, each group right after the
-/// kernel finished with it (a tile's rows for [`DenseKernel::Exact`],
-/// one row for [`DenseKernel::Chunked`]) while still cache-hot, so
-/// verification rides the memory traffic the inference pass already
-/// paid for instead of a second sweep. The bias
-/// (a few words) is digested in a trailing pass to preserve the stream
-/// order. Outputs are bit-identical to [`dense_into_with`] with the same
-/// kernel — both run the same code; the digest is bit-identical to
-/// [`crate::crc::digest_f32`] over the same buffers.
-///
-/// # Errors
-///
-/// Same contract as [`dense_into`].
-pub fn dense_into_digest(
-    kernel: DenseKernel,
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<WeightDigest, TensorError> {
-    let arena = DenseArena::single(weights, bias, x, out, inputs, outputs)?;
-    let mut digest = CrcAccumulator::new();
-    dense_arena(kernel, weights, bias, x, out, arena, Some(&mut digest));
-    digest.update_f32(bias);
-    Ok(digest.finish())
 }
 
 /// Dense layer over a batch-major activation arena: `batch` input rows
@@ -205,9 +76,14 @@ pub fn dense_into_digest(
 /// apart in `dst`.
 ///
 /// Each weight row is streamed from memory once per *batch* instead of
-/// once per item. Every per-item inner product uses exactly the
-/// arithmetic of [`dense_into_with`], so results are bit-identical to
-/// running the per-item kernel on each row separately.
+/// once per item. The chains run as a tile: eight output rows against
+/// two batch items (against the one item at batch 1), sixteen or eight
+/// independent chains in flight, so the f64 add latency is hidden at
+/// every batch size. The tile never changes a chain's own operation
+/// sequence, so every output is bit-identical to running [`dense_into`]
+/// on each item — pinned against a scalar reference for every row and
+/// item remainder of the tile by `dense_exact_tile_matches_scalar_reference`
+/// (`crates/tensor/tests/props.rs`).
 ///
 /// # Errors
 ///
@@ -215,8 +91,7 @@ pub fn dense_into_digest(
 /// [`TensorError::InvalidArgument`] when a stride is smaller than the row
 /// it must hold or an arena size overflows `usize`.
 #[allow(clippy::too_many_arguments)]
-pub fn dense_batch_into_with(
-    kernel: DenseKernel,
+pub fn dense_batch_into(
     weights: &[f32],
     bias: &[f32],
     src: &[f32],
@@ -235,7 +110,7 @@ pub fn dense_batch_into_with(
         dst_stride,
     };
     arena.check(weights, bias, src, dst)?;
-    dense_arena(kernel, weights, bias, src, dst, arena, None);
+    dense_arena(weights, bias, src, dst, arena);
     Ok(())
 }
 
@@ -312,51 +187,25 @@ impl DenseArena {
     }
 }
 
-/// The f32 dense layer over an arena that [`DenseArena::check`] accepted.
-/// With a `digest`, each weight row is fed to it, in order, once the
-/// kernel is done with that row.
-fn dense_arena(
-    kernel: DenseKernel,
-    weights: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    arena: DenseArena,
-    mut digest: Option<&mut CrcAccumulator>,
-) {
-    let n = arena.inputs;
+/// The f32 dense layer over an arena that [`DenseArena::check`] accepted:
+/// tiles of [`TILE_ROWS`] output rows, then one row at a time.
+fn dense_arena(weights: &[f32], bias: &[f32], src: &[f32], dst: &mut [f32], arena: DenseArena) {
     let mut o = 0;
+    while arena.outputs - o >= TILE_ROWS {
+        dense_exact_rows::<TILE_ROWS>(weights, bias, src, dst, arena, o);
+        o += TILE_ROWS;
+    }
     while o < arena.outputs {
-        let rows = match kernel {
-            DenseKernel::Exact if arena.outputs - o >= TILE_ROWS => {
-                dense_exact_rows::<TILE_ROWS>(weights, bias, src, dst, arena, o);
-                TILE_ROWS
-            }
-            DenseKernel::Exact => {
-                dense_exact_rows::<1>(weights, bias, src, dst, arena, o);
-                1
-            }
-            DenseKernel::Chunked => {
-                let row = &weights[o * n..(o + 1) * n];
-                for item in 0..arena.batch {
-                    let x = &src[item * arena.src_stride..][..n];
-                    dst[item * arena.dst_stride + o] = dense_row_chunked(row, x, bias[o]);
-                }
-                1
-            }
-        };
-        if let Some(digest) = digest.as_deref_mut() {
-            digest.update_f32(&weights[o * n..(o + rows) * n]);
-        }
-        o += rows;
+        dense_exact_rows::<1>(weights, bias, src, dst, arena, o);
+        o += 1;
     }
 }
 
-/// Output rows one [`DenseKernel::Exact`] tile computes together.
+/// Output rows one dense tile computes together.
 const TILE_ROWS: usize = 8;
-/// Batch items one [`DenseKernel::Exact`] tile computes together.
+/// Batch items one dense tile computes together.
 const TILE_ITEMS: usize = 2;
-/// Inputs per [`DenseKernel::Exact`] tile step: a step forms all its
+/// Inputs per dense tile step: a step forms all its
 /// products before its adds.
 ///
 /// All three were picked by measuring the 256×48 layer on a 2-vCPU
@@ -365,7 +214,7 @@ const TILE_ITEMS: usize = 2;
 /// beat four and eight.
 const TILE_STEP: usize = 2;
 
-/// [`DenseKernel::Exact`] output rows `o..o + R` for every item of the
+/// Dense output rows `o..o + R` for every item of the
 /// arena: tiles of [`TILE_ITEMS`] items while that many remain, then
 /// one item at a time.
 fn dense_exact_rows<const R: usize>(
@@ -387,7 +236,7 @@ fn dense_exact_rows<const R: usize>(
     }
 }
 
-/// One [`DenseKernel::Exact`] tile: output rows `o..o + R` against items
+/// One dense tile: output rows `o..o + R` against items
 /// `item..item + C`, one f64 chain per (row, item) pair.
 ///
 /// Every chain runs the definitional sequence — seed with the bias as
@@ -477,73 +326,6 @@ pub fn conv2d_into(
     stride: usize,
     padding: usize,
 ) -> Result<(), TensorError> {
-    conv2d_into_impl(
-        x, weights, bias, out, in_c, in_h, in_w, out_c, k_h, k_w, stride, padding, None,
-    )
-}
-
-/// 2-D convolution with fused verify-on-read: identical outputs to
-/// [`conv2d_into`], plus the [`WeightDigest`] over the weights-then-bias
-/// word stream accumulated during the sweep. Each output channel's
-/// weight block is digested right after that channel's spatial loop
-/// finishes streaming it; blocks in channel order concatenate to the
-/// linear weight buffer, so the digest is bit-identical to
-/// [`crate::crc::digest_f32`] over the same buffers.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_into_digest(
-    x: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<WeightDigest, TensorError> {
-    let mut digest = CrcAccumulator::new();
-    conv2d_into_impl(
-        x,
-        weights,
-        bias,
-        out,
-        in_c,
-        in_h,
-        in_w,
-        out_c,
-        k_h,
-        k_w,
-        stride,
-        padding,
-        Some(&mut digest),
-    )?;
-    digest.update_f32(bias);
-    Ok(digest.finish())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_into_impl(
-    x: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-    mut digest: Option<&mut CrcAccumulator>,
-) -> Result<(), TensorError> {
     if stride == 0 {
         return Err(TensorError::InvalidArgument(
             "stride must be non-zero".into(),
@@ -555,7 +337,6 @@ fn conv2d_into_impl(
     check_len(bias, out_c)?;
     check_len(out, out_c * out_h * out_w)?;
 
-    let block = in_c * k_h * k_w;
     for oc in 0..out_c {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -581,11 +362,6 @@ fn conv2d_into_impl(
                 }
                 out[oc * out_h * out_w + oy * out_w + ox] = acc as f32;
             }
-        }
-        // Digest this channel's weight block while it is still cache-hot
-        // from the spatial loop above.
-        if let Some(acc) = digest.as_deref_mut() {
-            acc.update_f32(&weights[oc * block..(oc + 1) * block]);
         }
     }
     Ok(())
@@ -795,40 +571,13 @@ fn dense_q16_row(row: &[Q16_16], x: &[Q16_16], bias: Q16_16) -> Q16_16 {
     q32_32_to_q16_16(acc)
 }
 
-/// Fixed-point dense layer with fused verify-on-read: the Q16.16
-/// counterpart of [`dense_into_digest`]. Outputs are bit-identical to
-/// [`dense_q16_into`]; the digest is bit-identical to
-/// [`crate::crc::digest_q16`] over the same buffers.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] on dimension disagreement.
-pub fn dense_q16_into_digest(
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    x: &[Q16_16],
-    out: &mut [Q16_16],
-    inputs: usize,
-    outputs: usize,
-) -> Result<WeightDigest, TensorError> {
-    DenseArena::single(weights, bias, x, out, inputs, outputs)?;
-    let mut digest = CrcAccumulator::new();
-    for o in 0..outputs {
-        let row = &weights[o * inputs..(o + 1) * inputs];
-        out[o] = dense_q16_row(row, x, bias[o]);
-        digest.update_q16(row);
-    }
-    digest.update_q16(bias);
-    Ok(digest.finish())
-}
-
 /// Fixed-point dense layer over a batch-major activation arena: the
-/// Q16.16 counterpart of [`dense_batch_into_with`], bit-identical per
+/// Q16.16 counterpart of [`dense_batch_into`], bit-identical per
 /// item to [`dense_q16_into`].
 ///
 /// # Errors
 ///
-/// Same contract as [`dense_batch_into_with`].
+/// Same contract as [`dense_batch_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn dense_q16_batch_into(
     weights: &[Q16_16],
@@ -922,76 +671,11 @@ pub fn conv2d_q16_into(
     stride: usize,
     padding: usize,
 ) -> Result<(), TensorError> {
-    conv2d_q16_into_impl(
-        x, weights, bias, out, in_c, in_h, in_w, out_c, k_h, k_w, stride, padding, None,
-    )
-}
-
-/// Fixed-point 2-D convolution with fused verify-on-read: the Q16.16
-/// counterpart of [`conv2d_into_digest`]. Outputs are bit-identical to
-/// [`conv2d_q16_into`]; the digest is bit-identical to
-/// [`crate::crc::digest_q16`] over the same buffers.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_q16_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_q16_into_digest(
-    x: &[Q16_16],
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    out: &mut [Q16_16],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<WeightDigest, TensorError> {
-    let mut digest = CrcAccumulator::new();
-    conv2d_q16_into_impl(
-        x,
-        weights,
-        bias,
-        out,
-        in_c,
-        in_h,
-        in_w,
-        out_c,
-        k_h,
-        k_w,
-        stride,
-        padding,
-        Some(&mut digest),
-    )?;
-    digest.update_q16(bias);
-    Ok(digest.finish())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_q16_into_impl(
-    x: &[Q16_16],
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    out: &mut [Q16_16],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-    mut digest: Option<&mut CrcAccumulator>,
-) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, k_h, k_w, stride, padding)?;
     check_len(x, in_c * in_h * in_w)?;
     check_len(weights, out_c * in_c * k_h * k_w)?;
     check_len(bias, out_c)?;
     check_len(out, out_c * out_h * out_w)?;
-    let block = in_c * k_h * k_w;
     for oc in 0..out_c {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -1016,10 +700,6 @@ fn conv2d_q16_into_impl(
                 }
                 out[oc * out_h * out_w + oy * out_w + ox] = q32_32_to_q16_16(acc);
             }
-        }
-        // Digest this channel's weight block while it is still cache-hot.
-        if let Some(acc) = digest.as_deref_mut() {
-            acc.update_q16(&weights[oc * block..(oc + 1) * block]);
         }
     }
     Ok(())
@@ -1115,58 +795,6 @@ mod tests {
         let mut out = [0.0; 3];
         dense_into(&w, &b, &x, &mut out, 2, 3).unwrap();
         assert_eq!(out, [2.5, 2.5, 5.0]);
-    }
-
-    #[test]
-    fn dense_chunked_matches_manual_and_is_deterministic() {
-        // 2 inputs -> 3 outputs: short rows exercise the pure-tail path.
-        let w = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let b = [0.5, -0.5, 0.0];
-        let x = [2.0, 3.0];
-        let mut out = [0.0; 3];
-        dense_into_chunked(&w, &b, &x, &mut out, 2, 3).unwrap();
-        assert_eq!(out, [2.5, 2.5, 5.0]);
-
-        // Long row with a remainder (11 = 2 chunks of 4 + tail of 3):
-        // repeated evaluation must be bit-identical, and close to exact.
-        let inputs = 11;
-        let w: Vec<f32> = (0..inputs).map(|i| (i as f32 * 0.37).sin()).collect();
-        let x: Vec<f32> = (0..inputs).map(|i| (i as f32 * 0.21).cos()).collect();
-        let b = [0.125f32];
-        let mut exact = [0.0f32];
-        let mut chunked = [0.0f32];
-        dense_into(&w, &b, &x, &mut exact, inputs, 1).unwrap();
-        dense_into_chunked(&w, &b, &x, &mut chunked, inputs, 1).unwrap();
-        assert!((exact[0] - chunked[0]).abs() <= exact[0].abs() * 1e-6 + 1e-6);
-        for _ in 0..8 {
-            let mut again = [0.0f32];
-            dense_into_chunked(&w, &b, &x, &mut again, inputs, 1).unwrap();
-            assert_eq!(again, chunked, "chunked kernel must be run-to-run exact");
-        }
-        let mut via_dispatch = [0.0f32];
-        dense_into_with(
-            DenseKernel::Chunked,
-            &w,
-            &b,
-            &x,
-            &mut via_dispatch,
-            inputs,
-            1,
-        )
-        .unwrap();
-        assert_eq!(via_dispatch, chunked);
-        dense_into_with(DenseKernel::Exact, &w, &b, &x, &mut via_dispatch, inputs, 1).unwrap();
-        assert_eq!(via_dispatch, exact);
-    }
-
-    #[test]
-    fn dense_chunked_rejects_bad_lengths() {
-        let w = [1.0; 6];
-        let b = [0.0; 3];
-        let x = [1.0; 2];
-        let mut out = [0.0; 3];
-        assert!(dense_into_chunked(&w, &b, &x, &mut out, 3, 3).is_err());
-        assert!(dense_into_chunked(&w, &b, &x, &mut out, 2, 2).is_err());
     }
 
     #[test]
@@ -1375,98 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_dense_matches_plain_and_reference_digest() {
-        let (inputs, outputs) = (11, 5); // odd row length crosses pair alignment
-        let w = ramp(inputs * outputs, 0.37);
-        let b = ramp(outputs, 0.11);
-        let x = ramp(inputs, 0.23);
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            let mut plain = vec![0.0f32; outputs];
-            dense_into_with(kernel, &w, &b, &x, &mut plain, inputs, outputs).unwrap();
-            let mut fused = vec![0.0f32; outputs];
-            let digest =
-                dense_into_digest(kernel, &w, &b, &x, &mut fused, inputs, outputs).unwrap();
-            assert_eq!(
-                fused, plain,
-                "{kernel:?}: fused outputs must be bit-identical"
-            );
-            assert_eq!(digest, crate::crc::digest_f32(&w, &b), "{kernel:?}");
-        }
-    }
-
-    #[test]
-    fn fused_conv_matches_plain_and_reference_digest() {
-        let (in_c, in_h, in_w, out_c, k) = (2, 5, 4, 3, 2);
-        let x = ramp(in_c * in_h * in_w, 0.19);
-        let w = ramp(out_c * in_c * k * k, 0.29);
-        let b = ramp(out_c, 0.41);
-        let (oh, ow) = conv2d_output_dims(in_h, in_w, k, k, 1, 1).unwrap();
-        let mut plain = vec![0.0f32; out_c * oh * ow];
-        conv2d_into(&x, &w, &b, &mut plain, in_c, in_h, in_w, out_c, k, k, 1, 1).unwrap();
-        let mut fused = vec![0.0f32; out_c * oh * ow];
-        let digest =
-            conv2d_into_digest(&x, &w, &b, &mut fused, in_c, in_h, in_w, out_c, k, k, 1, 1)
-                .unwrap();
-        assert_eq!(fused, plain);
-        assert_eq!(digest, crate::crc::digest_f32(&w, &b));
-    }
-
-    #[test]
-    fn fused_q16_kernels_match_plain_and_reference_digest() {
-        let q = |v: &[f32]| -> Vec<Q16_16> { v.iter().map(|&f| Q16_16::from_f32(f)).collect() };
-        let (inputs, outputs) = (7, 3);
-        let w = q(&ramp(inputs * outputs, 0.31));
-        let b = q(&ramp(outputs, 0.13));
-        let x = q(&ramp(inputs, 0.27));
-        let mut plain = vec![Q16_16::ZERO; outputs];
-        dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).unwrap();
-        let mut fused = vec![Q16_16::ZERO; outputs];
-        let digest = dense_q16_into_digest(&w, &b, &x, &mut fused, inputs, outputs).unwrap();
-        assert_eq!(fused, plain);
-        assert_eq!(digest, crate::crc::digest_q16(&w, &b));
-
-        let (in_c, in_h, in_w, out_c, k) = (1, 4, 4, 2, 2);
-        let cx = q(&ramp(in_c * in_h * in_w, 0.17));
-        let cw = q(&ramp(out_c * in_c * k * k, 0.21));
-        let cb = q(&ramp(out_c, 0.33));
-        let (oh, ow) = conv2d_output_dims(in_h, in_w, k, k, 1, 0).unwrap();
-        let mut cplain = vec![Q16_16::ZERO; out_c * oh * ow];
-        conv2d_q16_into(
-            &cx,
-            &cw,
-            &cb,
-            &mut cplain,
-            in_c,
-            in_h,
-            in_w,
-            out_c,
-            k,
-            k,
-            1,
-            0,
-        )
-        .unwrap();
-        let mut cfused = vec![Q16_16::ZERO; out_c * oh * ow];
-        let cdigest = conv2d_q16_into_digest(
-            &cx,
-            &cw,
-            &cb,
-            &mut cfused,
-            in_c,
-            in_h,
-            in_w,
-            out_c,
-            k,
-            k,
-            1,
-            0,
-        )
-        .unwrap();
-        assert_eq!(cfused, cplain);
-        assert_eq!(cdigest, crate::crc::digest_q16(&cw, &cb));
-    }
-
-    #[test]
     fn batched_dense_is_bit_identical_to_per_item() {
         let (inputs, outputs, batch, stride) = (9, 4, 5, 12); // stride > rows: arena slack
         let w = ramp(inputs * outputs, 0.37);
@@ -1476,22 +1012,20 @@ mod tests {
             let x = ramp(inputs, 0.1 + item as f32 * 0.07);
             src[item * stride..item * stride + inputs].copy_from_slice(&x);
         }
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            let mut dst = vec![0.0f32; batch * stride];
-            dense_batch_into_with(
-                kernel, &w, &b, &src, &mut dst, inputs, outputs, batch, stride, stride,
-            )
-            .unwrap();
-            for item in 0..batch {
-                let mut solo = vec![0.0f32; outputs];
-                let x = &src[item * stride..item * stride + inputs];
-                dense_into_with(kernel, &w, &b, x, &mut solo, inputs, outputs).unwrap();
-                assert_eq!(
-                    &dst[item * stride..item * stride + outputs],
-                    solo.as_slice(),
-                    "{kernel:?} item {item}"
-                );
-            }
+        let mut dst = vec![0.0f32; batch * stride];
+        dense_batch_into(
+            &w, &b, &src, &mut dst, inputs, outputs, batch, stride, stride,
+        )
+        .unwrap();
+        for item in 0..batch {
+            let mut solo = vec![0.0f32; outputs];
+            let x = &src[item * stride..item * stride + inputs];
+            dense_into(&w, &b, x, &mut solo, inputs, outputs).unwrap();
+            assert_eq!(
+                &dst[item * stride..item * stride + outputs],
+                solo.as_slice(),
+                "item {item}"
+            );
         }
     }
 
@@ -1530,17 +1064,11 @@ mod tests {
         let src = [0.0f32; 8];
         let mut dst = [0.0f32; 8];
         // Stride smaller than the input row.
-        assert!(
-            dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 4, 1, 4)
-                .is_err()
-        );
+        assert!(dense_batch_into(&w, &b, &src, &mut dst, 2, 3, 4, 1, 4).is_err());
         // Arena too short for the batch.
-        assert!(
-            dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 5, 4, 4)
-                .is_err()
-        );
+        assert!(dense_batch_into(&w, &b, &src, &mut dst, 2, 3, 5, 4, 4).is_err());
         // Empty batch is a no-op.
-        dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 0, 4, 4).unwrap();
+        dense_batch_into(&w, &b, &src, &mut dst, 2, 3, 0, 4, 4).unwrap();
     }
 
     #[test]
@@ -1552,11 +1080,9 @@ mod tests {
         let big = 1usize << 63;
         let (w, b) = ([0.0f32; 0], [0.0f32; 2]);
         let (src, mut dst) = ([0.0f32; 4], [0.0f32; 4]);
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            assert!(overflow(dense_batch_into_with(
-                kernel, &w, &b, &src, &mut dst, big, 2, 2, big, 2
-            )));
-        }
+        assert!(overflow(dense_batch_into(
+            &w, &b, &src, &mut dst, big, 2, 2, big, 2
+        )));
         let (wq, bq) = ([Q16_16::ZERO; 0], [Q16_16::ZERO; 2]);
         let (srcq, mut dstq) = ([Q16_16::ZERO; 4], [Q16_16::ZERO; 4]);
         assert!(overflow(dense_q16_batch_into(
@@ -1564,17 +1090,8 @@ mod tests {
         )));
         // Valid parameters, but `(batch - 1) * stride` wraps.
         let (w1, b1) = ([1.0f32], [0.0f32]);
-        assert!(overflow(dense_batch_into_with(
-            DenseKernel::Exact,
-            &w1,
-            &b1,
-            &src,
-            &mut dst,
-            1,
-            1,
-            3,
-            big,
-            1
+        assert!(overflow(dense_batch_into(
+            &w1, &b1, &src, &mut dst, 1, 1, 3, big, 1
         )));
         let (wq1, bq1) = ([Q16_16::ONE], [Q16_16::ZERO]);
         assert!(overflow(dense_q16_batch_into(

@@ -1,11 +1,10 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use safex_tensor::crc::crc32_words;
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
 use safex_tensor::stats::Histogram;
-use safex_tensor::{DenseKernel, DetRng, Shape, Tensor};
+use safex_tensor::{DetRng, Shape, Tensor};
 
 proptest! {
     // ----- kernels against naive references -----
@@ -103,7 +102,7 @@ proptest! {
         }
     }
 
-    // ----- the Exact dense tile against its definition -----
+    // ----- the dense tile against its definition -----
 
     #[test]
     fn dense_exact_tile_matches_scalar_reference(
@@ -131,9 +130,8 @@ proptest! {
         let (src_stride, dst_stride) = (inputs + src_slack, outputs + dst_slack);
         let src: Vec<f32> = (0..batch * src_stride).map(|_| value()).collect();
         let mut dst = vec![f32::NAN; batch * dst_stride];
-        ops::dense_batch_into_with(
-            DenseKernel::Exact, &w, &b, &src, &mut dst, inputs, outputs, batch,
-            src_stride, dst_stride,
+        ops::dense_batch_into(
+            &w, &b, &src, &mut dst, inputs, outputs, batch, src_stride, dst_stride,
         )
         .expect("dense");
         for item in 0..batch {
@@ -249,95 +247,9 @@ proptest! {
         prop_assert!(ab.all_finite());
     }
 
-    // ----- fused verify-on-read digests -----
-
-    #[test]
-    fn fused_dense_digest_equals_reference_crc(
-        seed in any::<u64>(),
-        inputs in 1usize..24,
-        outputs in 1usize..24,
-        chunked in any::<bool>(),
-    ) {
-        let mut rng = DetRng::new(seed);
-        let w: Vec<f32> = (0..inputs * outputs).map(|_| rng.next_f32() - 0.5).collect();
-        let b: Vec<f32> = (0..outputs).map(|_| rng.next_f32()).collect();
-        let x: Vec<f32> = (0..inputs).map(|_| rng.next_f32()).collect();
-        let kernel = if chunked { DenseKernel::Chunked } else { DenseKernel::Exact };
-        let mut fused = vec![0.0f32; outputs];
-        let digest =
-            ops::dense_into_digest(kernel, &w, &b, &x, &mut fused, inputs, outputs).expect("dense");
-        // The digest must equal the standalone second-sweep CRC over the
-        // same word stream (weights then bias), and its parity must be
-        // the plain XOR fold of that stream.
-        let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits()).collect();
-        prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
-        prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        // And the fused kernel's arithmetic is bit-identical to the plain
-        // kernel's: accumulation may not change because a digest rides along.
-        let mut plain = vec![0.0f32; outputs];
-        ops::dense_into_with(kernel, &w, &b, &x, &mut plain, inputs, outputs).expect("dense");
-        let fb: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = plain.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fb, pb);
-    }
-
-    #[test]
-    fn fused_conv_digest_equals_reference_crc(
-        seed in any::<u64>(),
-        in_c in 1usize..3,
-        out_c in 1usize..3,
-        in_h in 3usize..7,
-        in_w in 3usize..7,
-        k in 1usize..4,
-        padding in 0usize..2,
-    ) {
-        prop_assume!(k <= in_h + 2 * padding && k <= in_w + 2 * padding);
-        let mut rng = DetRng::new(seed);
-        let x: Vec<f32> = (0..in_c * in_h * in_w).map(|_| rng.next_f32()).collect();
-        let w: Vec<f32> = (0..out_c * in_c * k * k).map(|_| rng.next_f32() - 0.5).collect();
-        let b: Vec<f32> = (0..out_c).map(|_| rng.next_f32()).collect();
-        let (oh, ow) =
-            ops::conv2d_output_dims(in_h, in_w, k, k, 1, padding).expect("dims");
-        let mut fused = vec![0.0f32; out_c * oh * ow];
-        let digest = ops::conv2d_into_digest(
-            &x, &w, &b, &mut fused, in_c, in_h, in_w, out_c, k, k, 1, padding,
-        )
-        .expect("conv");
-        let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits()).collect();
-        prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
-        prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        let mut plain = vec![0.0f32; out_c * oh * ow];
-        ops::conv2d_into(&x, &w, &b, &mut plain, in_c, in_h, in_w, out_c, k, k, 1, padding)
-            .expect("conv");
-        let fb: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = plain.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fb, pb);
-    }
-
-    #[test]
-    fn fused_q16_dense_digest_equals_reference_crc(
-        seed in any::<u64>(),
-        inputs in 1usize..24,
-        outputs in 1usize..24,
-    ) {
-        let mut rng = DetRng::new(seed);
-        let w: Vec<Q16_16> =
-            (0..inputs * outputs).map(|_| Q16_16::from_f32(rng.next_f32() - 0.5)).collect();
-        let b: Vec<Q16_16> = (0..outputs).map(|_| Q16_16::from_f32(rng.next_f32())).collect();
-        let x: Vec<Q16_16> = (0..inputs).map(|_| Q16_16::from_f32(rng.next_f32())).collect();
-        let mut fused = vec![Q16_16::ZERO; outputs];
-        let digest =
-            ops::dense_q16_into_digest(&w, &b, &x, &mut fused, inputs, outputs).expect("dense");
-        let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits() as u32).collect();
-        prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
-        prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        let mut plain = vec![Q16_16::ZERO; outputs];
-        ops::dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).expect("dense");
-        prop_assert_eq!(fused, plain);
-    }
 }
 
-/// The definition of one [`DenseKernel::Exact`] output: seed with the
+/// The definition of one dense output: seed with the
 /// bias as f64, then `acc += w as f64 * x as f64` for each input in order.
 fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
     let mut acc = bias as f64;

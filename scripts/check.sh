@@ -5,7 +5,8 @@
 # Usage:
 #   scripts/check.sh              # full gate: fmt, clippy, benches, tests,
 #                                 # the safexbench package's tests,
-#                                 # quick bench + fused-overhead perf smoke
+#                                 # quick bench + hardening-overhead perf
+#                                 # smoke (Full CRC every decision <= 2x bare)
 #   scripts/check.sh --tests-only # fast tier: just the workspace test suite
 #                                 # (plus the test-count floor below)
 #   scripts/check.sh --soak-smoke # bounded wall-clock soak tier: ~6 s of

@@ -242,148 +242,6 @@ fn pool_classification_matrix_consistent() {
     }
 }
 
-/// The chunked dense kernel's own determinism matrix: it reassociates the
-/// f64 accumulation (so it is *not* bit-compatible with `Exact`, which is
-/// why `Exact` stays the default), but it must be bit-identical across
-/// runs, engines, and pool worker counts, and numerically within 1e-5 of
-/// the exact kernel.
-#[test]
-fn chunked_kernel_bit_identical_across_runs_and_worker_counts() {
-    use safexplain::nn::{DenseKernel, EnginePool};
-
-    let data = dataset(10, 16);
-    let model = demo::train_mlp(&data, 10, 6).expect("train");
-    let inputs: Vec<Vec<f32>> = data.samples().iter().map(|s| s.input.clone()).collect();
-
-    let mut chunked = Engine::with_kernel(model.clone(), DenseKernel::Chunked);
-    let expected: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|x| chunked.infer(x).expect("infer").to_vec())
-        .collect();
-
-    // Run-to-run and engine-to-engine bit equality.
-    let mut again = Engine::with_kernel(model.clone(), DenseKernel::Chunked);
-    for (x, exp) in inputs.iter().zip(&expected) {
-        assert_eq!(chunked.infer(x).expect("infer"), &exp[..]);
-        assert_eq!(again.infer(x).expect("infer"), &exp[..]);
-    }
-
-    // Numerically tracks the exact kernel.
-    let mut exact = Engine::new(model.clone());
-    for (x, exp) in inputs.iter().zip(&expected) {
-        for (c, e) in exp.iter().zip(exact.infer(x).expect("infer")) {
-            assert!(
-                (c - e).abs() < 1e-5,
-                "chunked kernel drifted from exact: {c} vs {e}"
-            );
-        }
-    }
-
-    // Worker-count matrix: static partitioning makes the kernel choice
-    // orthogonal to pooling.
-    for workers in [1usize, 2, 4, 8] {
-        let mut pool =
-            EnginePool::with_kernel(model.clone(), workers, DenseKernel::Chunked).expect("pool");
-        let outputs = pool.infer_batch(&inputs).expect("batch");
-        for (out, exp) in outputs.iter().zip(&expected) {
-            let ob: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u32> = exp.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ob, eb, "chunked bits diverged at {workers} workers");
-        }
-    }
-}
-
-/// The fused verify-on-read strategy joins the kernel matrix: hardened
-/// pools running `CrcStrategy::Fused` must be bit-identical to the
-/// sequential hardened engine for every worker count in {1, 2, 4, 8},
-/// for both the float and the Q16.16 engine — and, with pristine
-/// weights, must reproduce the bare engines' answers exactly (the
-/// in-pass digest accumulation may not perturb the arithmetic).
-#[test]
-fn fused_pool_matrix_bit_identical_for_float_and_quant() {
-    use safexplain::nn::{
-        CrcStrategy, HardenConfig, HardenedEngine, HardenedPool, HardenedQEngine, HardenedQPool,
-    };
-
-    let data = dataset(10, 17);
-    let model = demo::train_mlp(&data, 10, 7).expect("train");
-    let inputs: Vec<Vec<f32>> = data.samples().iter().map(|s| s.input.clone()).collect();
-    let harden = HardenConfig {
-        crc_strategy: CrcStrategy::Fused,
-        crc_cadence: 2,
-        ..HardenConfig::default()
-    };
-
-    // Float matrix.
-    let mut seq = HardenedEngine::new(model.clone(), harden).expect("harden");
-    seq.calibrate(&inputs).expect("calibrate");
-    let mut bare = Engine::new(model.clone());
-    let mut expected = Vec::new();
-    for (i, x) in inputs.iter().enumerate() {
-        let c = seq.classify_indexed(i as u64, x).expect("classify");
-        assert!(
-            seq.last_events().is_empty(),
-            "clean weights must stay silent"
-        );
-        let b = bare.classify(x).expect("classify");
-        assert_eq!(
-            (c.class, c.confidence.to_bits()),
-            (b.class, b.confidence.to_bits()),
-            "fused verification perturbed the bare float answer"
-        );
-        expected.push(c);
-    }
-    for workers in [1usize, 2, 4, 8] {
-        let mut fresh = HardenedEngine::new(model.clone(), harden).expect("harden");
-        fresh.calibrate(&inputs).expect("calibrate");
-        let mut pool = HardenedPool::new(&fresh, workers).expect("pool");
-        let out = pool.classify_batch(&inputs).expect("batch");
-        assert_eq!(out.len(), expected.len());
-        for (got, exp) in out.iter().zip(&expected) {
-            assert_eq!(
-                got.classification, *exp,
-                "fused float pool diverged at {workers} workers"
-            );
-            assert!(got.events.is_empty());
-        }
-    }
-
-    // Q16.16 matrix: fixed-point outputs are integers, so equality is
-    // already bitwise.
-    let qmodel = QModel::quantize(&model).expect("quantize");
-    let qinputs: Vec<Vec<Q16_16>> = inputs
-        .iter()
-        .map(|x| x.iter().map(|&v| Q16_16::from_f32(v)).collect())
-        .collect();
-    let mut qseq = HardenedQEngine::new(qmodel.clone(), harden).expect("harden");
-    qseq.calibrate(&qinputs).expect("calibrate");
-    let mut qbare = QEngine::new(qmodel.clone());
-    let mut qexpected = Vec::new();
-    for (i, x) in qinputs.iter().enumerate() {
-        let c = qseq.classify_indexed(i as u64, x).expect("classify");
-        let b = qbare.classify(x).expect("classify");
-        assert_eq!(
-            c.class, b.class,
-            "fused verification perturbed the bare quant answer"
-        );
-        qexpected.push(c);
-    }
-    for workers in [1usize, 2, 4, 8] {
-        let mut fresh = HardenedQEngine::new(qmodel.clone(), harden).expect("harden");
-        fresh.calibrate(&qinputs).expect("calibrate");
-        let mut pool = HardenedQPool::new(&fresh, workers).expect("pool");
-        let out = pool.classify_batch(&qinputs).expect("batch");
-        assert_eq!(out.len(), qexpected.len());
-        for (got, exp) in out.iter().zip(&qexpected) {
-            assert_eq!(
-                got.classification, *exp,
-                "fused quant pool diverged at {workers} workers"
-            );
-            assert!(got.events.is_empty());
-        }
-    }
-}
-
 /// Pool replicas persist across batches, so their state must stay in
 /// lockstep: one pool fed several consecutive batches, with a weight
 /// strike on every replica between two of them, must match a sequential
