@@ -86,7 +86,7 @@ impl WitnessFile {
         out.extend_from_slice(WITNESS_MAGIC);
         out.extend_from_slice(&WITNESS_VERSION.to_le_bytes());
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        let checksum = crc32(p.iter().copied());
+        let checksum = crc32(&p);
         out.extend_from_slice(&p);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -125,7 +125,7 @@ impl WitnessFile {
         }
         let payload = &bytes[16..16 + len];
         let stored = u32::from_le_bytes(bytes[16 + len..].try_into().expect("4 bytes"));
-        let actual = crc32(payload.iter().copied());
+        let actual = crc32(payload);
         if stored != actual {
             return Err(FalsifyError::BadWitness(format!(
                 "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"

@@ -203,7 +203,7 @@ pub fn mutate(
                 let bit = (rng.next_u64() % 8) as u8;
                 let mut out = input.to_vec();
                 out[offset] ^= 1 << bit;
-                let crc = crc32(out[layout.payload_start..payload_end].iter().copied());
+                let crc = crc32(&out[layout.payload_start..payload_end]);
                 out[payload_end..].copy_from_slice(&crc.to_le_bytes());
                 return (out, Mutation::CrcFixup { offset, bit });
             }
@@ -329,7 +329,7 @@ mod tests {
         let payload: Vec<u8> = (0..32u8).collect();
         let mut container = vec![0u8; 16];
         container.extend_from_slice(&payload);
-        let crc = crc32(payload.iter().copied());
+        let crc = crc32(&payload);
         container.extend_from_slice(&crc.to_le_bytes());
         let layout = ContainerLayout {
             payload_start: 16,
@@ -343,7 +343,7 @@ mod tests {
             if let Mutation::CrcFixup { .. } = m {
                 fixed += 1;
                 let end = out.len() - 4;
-                let actual = crc32(out[16..end].iter().copied());
+                let actual = crc32(&out[16..end]);
                 let stored = u32::from_le_bytes(out[end..].try_into().unwrap());
                 assert_eq!(actual, stored, "fixup must recompute the CRC");
                 assert_ne!(out[16..end], container[16..container.len() - 4]);

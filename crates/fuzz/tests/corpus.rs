@@ -8,6 +8,7 @@
 use safex_fuzz::{load_corpus, probe_model, probe_snapshot, probe_witness, ProbeOutcome};
 use safex_nn::io::load_model;
 use safex_nn::NnError;
+use safex_serve::snapshot::SNAPSHOT_VERSION;
 use safex_serve::{ServeError, ServerSnapshot};
 
 fn entry(name: &str) -> Vec<u8> {
@@ -22,13 +23,37 @@ fn entry(name: &str) -> Vec<u8> {
 /// length of `u64::MAX` overflowed `16 + len + 4` in the snapshot frame
 /// check and panicked under debug assertions instead of returning the
 /// typed `BadSnapshot` error. Fixed by validating the declared length
-/// against the actual remainder.
+/// against the actual remainder. The seed carries the current version,
+/// so decoding reaches the length check instead of stopping earlier.
 #[test]
 fn snapshot_length_overflow_is_a_typed_error() {
     let bytes = entry("snapshot__length_overflow");
     match ServerSnapshot::decode(&bytes) {
-        Err(ServeError::BadSnapshot(_)) => {}
+        Err(ServeError::BadSnapshot(msg)) => assert!(
+            msg.contains("does not match declared payload"),
+            "should be the length mismatch: {msg}"
+        ),
         other => panic!("want BadSnapshot, got {other:?}"),
+    }
+}
+
+/// A snapshot seed at a stale version stops at the version check and no
+/// longer exercises the defect it pins, so every `snapshot__*` seed must
+/// carry the current `SNAPSHOT_VERSION` (re-encode seeds on a bump).
+#[test]
+fn snapshot_seeds_carry_the_current_version() {
+    let seeds: Vec<_> = load_corpus()
+        .into_iter()
+        .filter(|e| e.surface == "snapshot")
+        .collect();
+    assert!(!seeds.is_empty());
+    for e in seeds {
+        assert_eq!(
+            e.bytes.get(6..8),
+            Some(&SNAPSHOT_VERSION.to_le_bytes()[..]),
+            "{} carries a stale snapshot version",
+            e.name
+        );
     }
 }
 

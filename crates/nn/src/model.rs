@@ -3,6 +3,7 @@
 use std::fmt;
 
 use safex_tensor::{DetRng, Shape};
+use safex_trace::Fnv64;
 
 use crate::error::NnError;
 use crate::init::Init;
@@ -436,30 +437,6 @@ impl ModelBuilder {
             layers: self.layers,
             shapes: self.shapes,
         })
-    }
-}
-
-/// Minimal FNV-1a 64-bit hasher (dependency-free, stable across platforms).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -45,4 +45,4 @@ pub mod json;
 pub mod record;
 
 pub use chain::EvidenceChain;
-pub use record::{input_digest, EvidenceRecord, Fnv64, RecordKind, Value};
+pub use record::{input_digest, word_digest, EvidenceRecord, Fnv64, RecordKind, Value, WordHash};

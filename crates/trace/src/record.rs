@@ -246,6 +246,115 @@ impl Fnv64 {
     }
 }
 
+// xxHash64's five primes: odd 64-bit constants with well-spread bits.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Word-wide 64-bit hasher: the digest for bulk `f32` buffers on the
+/// serve path (result-cache index keys, snapshot trace digests).
+///
+/// [`Fnv64`] takes one dependent multiply per *byte*, so a 256-float
+/// input costs 1 032 serial steps. `WordHash` takes 64-bit words,
+/// through xxHash64's round function and primes:
+/// [`write_f32s`](Self::write_f32s) packs the float bit patterns two to
+/// a word and runs 32-byte stripes through four independent lanes, so
+/// one stripe's multiplies overlap in the pipeline, then folds the lanes
+/// into the running state. It uses xxHash64's building blocks, not its
+/// byte-stream framing, so values differ from reference XXH64.
+///
+/// Non-cryptographic and platform-stable, like `Fnv64`. Snapshots store
+/// its output, so known-answer tests pin it: changing a value is a
+/// snapshot format change.
+#[derive(Debug, Clone)]
+pub struct WordHash(u64);
+
+impl Default for WordHash {
+    fn default() -> Self {
+        WordHash::new()
+    }
+}
+
+impl WordHash {
+    /// A fresh hasher.
+    pub fn new() -> Self {
+        WordHash(P5)
+    }
+
+    /// Absorbs one 64-bit word (xxHash64's 8-byte tail step).
+    pub fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ round(0, v))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+
+    /// Absorbs the length and the exact bit patterns of `values` (no
+    /// float rounding: `-0.0` and `0.0` differ, NaNs hash by payload).
+    pub fn write_f32s(&mut self, values: &[f32]) {
+        self.write_u64(values.len() as u64);
+        let (stripes, tail) = values.as_chunks::<8>();
+        if !stripes.is_empty() {
+            let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+            for s in stripes {
+                lanes[0] = round(lanes[0], pack(s[0], s[1]));
+                lanes[1] = round(lanes[1], pack(s[2], s[3]));
+                lanes[2] = round(lanes[2], pack(s[4], s[5]));
+                lanes[3] = round(lanes[3], pack(s[6], s[7]));
+            }
+            let mut acc = lanes[0]
+                .rotate_left(1)
+                .wrapping_add(lanes[1].rotate_left(7))
+                .wrapping_add(lanes[2].rotate_left(12))
+                .wrapping_add(lanes[3].rotate_left(18));
+            for lane in lanes {
+                acc = (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            self.write_u64(acc);
+        }
+        let (pairs, odd) = tail.as_chunks::<2>();
+        for &[lo, hi] in pairs {
+            self.write_u64(pack(lo, hi));
+        }
+        if let [last] = odd {
+            self.write_u64(u64::from(last.to_bits()));
+        }
+    }
+
+    /// The digest so far, through xxHash64's final avalanche.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// xxHash64's lane round.
+#[inline]
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Two float bit patterns as one little-endian word.
+#[inline]
+fn pack(lo: f32, hi: f32) -> u64 {
+    u64::from(lo.to_bits()) | u64::from(hi.to_bits()) << 32
+}
+
+/// [`WordHash`] of one input buffer: the result cache's index key.
+pub fn word_digest(input: &[f32]) -> u64 {
+    let mut h = WordHash::new();
+    h.write_f32s(input);
+    h.finish()
+}
+
 /// Canonical digest of an inference input: FNV-1a over the exact bit
 /// patterns of the values (no float rounding, `-0.0 != 0.0`, NaNs by
 /// payload). Two inputs share a digest key only if they would produce
@@ -327,6 +436,38 @@ mod tests {
         // Length is part of the key: [0.0] vs [] vs [0.0, 0.0] all differ.
         assert_ne!(input_digest(&[0.0]), input_digest(&[]));
         assert_ne!(input_digest(&[0.0]), input_digest(&[0.0, 0.0]));
+    }
+
+    #[test]
+    fn word_digest_is_exact_and_length_aware() {
+        // Lengths around the 8-float stripe and the pair/odd tails.
+        let base: Vec<f32> = (0..21).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        for n in 0..=base.len() {
+            assert!(seen.insert(word_digest(&base[..n])), "length {n}");
+        }
+        // Every single-value change moves the digest, in every lane and
+        // in the tail.
+        for i in 0..base.len() {
+            let mut v = base.clone();
+            v[i] = f32::from_bits(v[i].to_bits() ^ 1);
+            assert_ne!(word_digest(&v), word_digest(&base), "index {i}");
+        }
+        assert_ne!(word_digest(&[0.0]), word_digest(&[-0.0]));
+        assert_ne!(word_digest(&[0.0]), word_digest(&[0.0, 0.0]));
+    }
+
+    #[test]
+    fn word_hash_known_answers() {
+        // Pinned values: snapshots store `WordHash` output (the trace
+        // digest), so a change here needs a snapshot version bump.
+        let input: Vec<f32> = (0..19).map(|i| i as f32 * 0.25 - 2.0).collect();
+        assert_eq!(word_digest(&[]), 0xb992_b056_e7d8_a844);
+        assert_eq!(word_digest(&input), 0x3c7c_55d4_5f6f_de2d);
+        let mut h = WordHash::new();
+        h.write_u64(7);
+        h.write_f32s(&input[..9]);
+        assert_eq!(h.finish(), 0x9924_32ca_a20a_59cd);
     }
 
     #[test]
