@@ -81,7 +81,8 @@ fn print_tables() {
             .synthesize(&stream)
             .expect("trace");
             let backend = PoolBackend::new(&engine, 2).expect("pool");
-            let mut server = Server::single(server_config(max_batch), backend).expect("server");
+            let mut server =
+                Server::new(server_config(max_batch), Fleet::single(backend)).expect("server");
             let report = server.run_trace(&trace).expect("run");
             let s = &report.snapshot;
             println!(
@@ -156,7 +157,8 @@ fn print_tables() {
     let mut reference_report = None;
     for workers in [1usize, 2, 4, 8] {
         let backend = PoolBackend::new(&engine, workers).expect("pool");
-        let mut server = Server::single(faulted_config.clone(), backend).expect("server");
+        let mut server =
+            Server::new(faulted_config.clone(), Fleet::single(backend)).expect("server");
         let report = server.run_trace_with(&trace, strike).expect("run");
         match &reference_report {
             None => {
@@ -245,7 +247,8 @@ fn bench(c: &mut Criterion) {
     .expect("trace");
     for max_batch in [1usize, 16] {
         let backend = PoolBackend::new(&engine, 2).expect("pool");
-        let mut server = Server::single(server_config(max_batch), backend).expect("server");
+        let mut server =
+            Server::new(server_config(max_batch), Fleet::single(backend)).expect("server");
         group.bench_function(format!("replay_200_requests_batch{max_batch}"), |b| {
             b.iter(|| std::hint::black_box(server.run_trace(&trace).expect("run").responses.len()))
         });

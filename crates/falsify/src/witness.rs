@@ -30,7 +30,10 @@
 //! short read, trailing garbage, non-UTF-8 or oversized name, non-finite
 //! or positive margin, zero violation count, an inverted region
 //! interval, or a witness value outside its region. No partially decoded
-//! witness escapes.
+//! witness escapes. Decoding is also panic-free: the non-test code of
+//! this module denies `unwrap` and `expect`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use safex_tensor::crc::crc32;
 
@@ -100,31 +103,33 @@ impl WitnessFile {
     /// semantic defect (see the module docs for the full list); no
     /// partial state escapes.
     pub fn decode(bytes: &[u8]) -> Result<Self, FalsifyError> {
-        if bytes.len() < 20 {
+        let Some((header, rest)) = bytes.split_first_chunk::<16>() else {
             return Err(bad("container shorter than the fixed header"));
-        }
-        if &bytes[..6] != WITNESS_MAGIC {
+        };
+        let Some((payload, trailer)) = rest.split_last_chunk::<4>() else {
+            return Err(bad("container shorter than the fixed header"));
+        };
+        if !header.starts_with(WITNESS_MAGIC) {
             return Err(bad("bad magic"));
         }
-        let version = u16::from_le_bytes([bytes[6], bytes[7]]);
+        let [_, _, _, _, _, _, v0, v1, declared @ ..] = *header;
+        let version = u16::from_le_bytes([v0, v1]);
         if version != WITNESS_VERSION {
             return Err(FalsifyError::BadWitness(format!(
                 "unsupported witness version {version} (expected {WITNESS_VERSION})"
             )));
         }
-        let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        // Compare against the actual remainder instead of computing
-        // `16 + len + 4` from the attacker-controlled field, which would
-        // overflow on a lie.
-        let len = bytes.len() - 20;
-        if declared != len as u64 {
+        let declared = u64::from_le_bytes(declared);
+        // Compare against the actual remainder (header and trailer already
+        // split off) instead of computing `16 + len + 4` from the
+        // attacker-controlled field, which would overflow on a lie.
+        if declared != payload.len() as u64 {
             return Err(FalsifyError::BadWitness(format!(
                 "container length {} does not match declared payload of {declared} bytes",
                 bytes.len()
             )));
         }
-        let payload = &bytes[16..16 + len];
-        let stored = u32::from_le_bytes(bytes[16 + len..].try_into().expect("4 bytes"));
+        let stored = u32::from_le_bytes(*trailer);
         let actual = crc32(payload);
         if stored != actual {
             return Err(FalsifyError::BadWitness(format!(
@@ -259,12 +264,24 @@ impl Reader<'_> {
         Ok(slice)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FalsifyError> {
+        let (head, _) = self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::split_first_chunk::<N>)
+            .ok_or_else(|| bad("payload truncated"))?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, FalsifyError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     fn u64(&mut self) -> Result<u64, FalsifyError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self, what: &str) -> Result<String, FalsifyError> {
@@ -291,6 +308,7 @@ impl Reader<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -20,7 +20,10 @@
 //!
 //! All integers little-endian; all weights `f32` bit patterns. No
 //! external serialisation dependency — the format is small enough to
-//! audit by eye, which is the FUSA point.
+//! audit by eye, which is the FUSA point. Loading is panic-free: the
+//! non-test code of this module denies `unwrap` and `expect`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io::{Read, Write};
 
@@ -459,6 +462,7 @@ impl<R: Read> Parser<'_, R> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use safex_tensor::DetRng;

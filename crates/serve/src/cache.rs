@@ -26,6 +26,7 @@
 //! eviction, so cache state — like everything else in the server — is a
 //! pure function of the replayed trace.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -171,10 +172,26 @@ impl ResultCache {
     /// immutable once verified, and a collision must not overwrite a
     /// good entry.
     pub fn insert(&mut self, input: &[f32], class: usize, confidence: f32, model: ModelId) {
+        self.store(Cow::Borrowed(input), class, confidence, model);
+    }
+
+    /// [`ResultCache::insert`] for an input the caller owns: a restore
+    /// moves each decoded input in instead of copying it.
+    pub(crate) fn insert_owned(
+        &mut self,
+        input: Vec<f32>,
+        class: usize,
+        confidence: f32,
+        model: ModelId,
+    ) {
+        self.store(Cow::Owned(input), class, confidence, model);
+    }
+
+    fn store(&mut self, input: Cow<'_, [f32]>, class: usize, confidence: f32, model: ModelId) {
         if !self.enabled || self.capacity == 0 {
             return;
         }
-        let digest = input_digest(input);
+        let digest = input_digest(&input);
         if self.keys.contains_key(&digest) {
             return;
         }
@@ -184,10 +201,10 @@ impl ResultCache {
             };
             self.remove(oldest);
         }
-        let key = self.key(input);
+        let key = self.key(&input);
         self.keys.insert(digest, key);
         self.buckets.entry(key).or_default().push(Entry {
-            input: input.to_vec(),
+            input: input.into_owned(),
             result: CachedResult {
                 class,
                 confidence,

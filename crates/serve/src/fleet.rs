@@ -57,7 +57,7 @@ impl<B: Backend> Fleet<B> {
     }
 
     /// A one-member fleet named `"primary"` — the single-model
-    /// deployment shape [`crate::server::Server::single`] wraps.
+    /// deployment shape, passed to [`crate::server::Server::new`].
     pub fn single(backend: B) -> Self {
         Fleet {
             members: vec![FleetMember {

@@ -45,7 +45,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use safex_nn::model::ModelBuilder;
 //! use safex_nn::{HardenConfig, HardenedEngine};
-//! use safex_serve::{PoolBackend, Server, ServerConfig, TrafficConfig};
+//! use safex_serve::{Fleet, PoolBackend, Server, ServerConfig, TrafficConfig};
 //! use safex_tensor::{DetRng, Shape};
 //!
 //! let mut rng = DetRng::new(7);
@@ -63,7 +63,7 @@
 //!
 //! let trace = TrafficConfig::default().synthesize(&inputs)?;
 //! let backend = PoolBackend::new(&engine, 2)?;
-//! let mut server = Server::single(ServerConfig::default(), backend)?;
+//! let mut server = Server::new(ServerConfig::default(), Fleet::single(backend))?;
 //! let report = server.run_trace(&trace)?;
 //! assert_eq!(report.responses.len(), trace.len());
 //! # Ok(())

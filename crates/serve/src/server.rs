@@ -75,7 +75,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{Admission, AdmissionQueue, Pending};
 use crate::request::{ModelId, Outcome, Request, Response, ShedReason};
 use crate::route::{admits, severity, CandidateView, RouteView, RoutingPolicy};
-use crate::snapshot::{trace_digest, CacheEntrySnapshot, ChainEntry, RunSnapshot, ServerSnapshot};
+use crate::snapshot::{RunSnapshot, RunView, ServerSnapshot, SnapshotView};
 use crate::soak::{
     OpsPlan, SoakOutcome, SoakStats, StallOp, SwapEvent, SwapOp, WatchStage, WatchdogState,
 };
@@ -304,22 +304,23 @@ impl RunState {
         }
     }
 
-    fn to_snapshot(&self) -> RunSnapshot {
-        RunSnapshot {
-            responses: self.responses.clone(),
-            transitions: self.transitions.clone(),
-            metrics: self.metrics.clone(),
-            queue_items: self.queue.items().to_vec(),
+    /// The borrowed view a snapshot capture encodes.
+    fn view(&self) -> RunView<'_> {
+        RunView {
+            responses: &self.responses,
+            transitions: &self.transitions,
+            metrics: &self.metrics,
+            queue_items: self.queue.items(),
             queue_cap: self.queue.cap() as u64,
             queue_peak: self.queue.peak() as u64,
-            inflight: self.inflight.clone(),
-            free_at: self.free_at.clone(),
+            inflight: &self.inflight,
+            free_at: &self.free_at,
             decisions: self.decisions,
             next_arrival: self.next as u64,
             now: self.now,
             stalled: self.stalled,
-            watchdog: self.watchdog,
-            stats: self.stats.clone(),
+            watchdog: &self.watchdog,
+            stats: &self.stats,
         }
     }
 
@@ -403,16 +404,6 @@ impl<B: Backend> Server<B> {
         Server::with_router(config, fleet, router)
     }
 
-    /// Assembles a one-member fleet named `"primary"` — the drop-in
-    /// shape for single-model deployments (the pre-fleet `Server::new`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadConfig`] as [`Server::new`] does.
-    pub fn single(config: ServerConfig, backend: B) -> Result<Self, ServeError> {
-        Server::new(config, Fleet::single(backend))
-    }
-
     /// Assembles a fleet server with a custom routing policy (which must
     /// be pure in the decision index — see [`crate::route`]).
     ///
@@ -474,49 +465,61 @@ impl<B: Backend> Server<B> {
         fleet: Fleet<B>,
         bytes: &[u8],
     ) -> Result<Self, ServeError> {
-        let snap = ServerSnapshot::decode(bytes)?;
+        let ServerSnapshot {
+            config_digest,
+            trace_digest,
+            monitors,
+            cache_entries,
+            chain: records,
+            chain_head,
+            backend_clocks,
+            run,
+            ..
+        } = ServerSnapshot::decode(bytes)?;
         let mut server = Server::new(config, fleet)?;
-        if server.config_digest() != snap.config_digest {
+        if server.config_digest() != config_digest {
             return Err(ServeError::BadSnapshot(
                 "server configuration does not match the snapshot's".into(),
             ));
         }
         let members = server.fleet.len();
-        if snap.monitors.len() != members
-            || snap.backend_clocks.len() != members
-            || snap.run.free_at.len() != members
+        if monitors.len() != members
+            || backend_clocks.len() != members
+            || run.free_at.len() != members
         {
             return Err(ServeError::BadSnapshot(format!(
                 "snapshot shape ({} monitors, {} clocks) does not fit a fleet of {members}",
-                snap.monitors.len(),
-                snap.backend_clocks.len()
+                monitors.len(),
+                backend_clocks.len()
             )));
         }
-        // Stage everything fallible before committing any of it.
-        let monitors = snap
-            .monitors
-            .iter()
-            .map(|ladder| HealthMonitor::restore(server.config.health, ladder.clone()))
+        // Stage everything fallible before committing any of it. The
+        // decoded snapshot is consumed: its ladders, fields and inputs
+        // move into the server rather than being copied.
+        let monitors = monitors
+            .into_iter()
+            .map(|ladder| HealthMonitor::restore(server.config.health, ladder))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ServeError::BadSnapshot(e.to_string()))?;
+        let restored_records = records.len() as u64;
         let mut chain = EvidenceChain::new(server.config.campaign.clone());
-        for entry in &snap.chain {
-            chain.append(entry.kind, entry.fields.clone());
+        for entry in records {
+            chain.append(entry.kind, entry.fields);
         }
-        if chain.head_hash() != snap.chain_head {
+        if chain.head_hash() != chain_head {
             return Err(ServeError::BadSnapshot(
                 "re-appended evidence chain does not reproduce the snapshot head".into(),
             ));
         }
         let mut cache = ResultCache::new(server.config.cache);
-        for entry in &snap.cache_entries {
-            cache.insert(&entry.input, entry.class, entry.confidence, entry.model);
+        for entry in cache_entries {
+            cache.insert_owned(entry.input, entry.class, entry.confidence, entry.model);
         }
         // Commit.
         server.monitors = monitors;
         server.chain = chain;
         server.cache = cache;
-        for (i, &work) in snap.backend_clocks.iter().enumerate() {
+        for (i, &work) in backend_clocks.iter().enumerate() {
             server
                 .fleet
                 .backend_mut(ModelId::new(i as u16))
@@ -528,13 +531,13 @@ impl<B: Backend> Server<B> {
             RecordKind::RuntimeRestored,
             vec![
                 ("server".into(), Value::Str("safex-serve".into())),
-                ("at_tick".into(), Value::U64(snap.run.now)),
+                ("at_tick".into(), Value::U64(run.now)),
                 ("checksum".into(), Value::Str(format!("{checksum:08x}"))),
-                ("records".into(), Value::U64(snap.chain.len() as u64)),
+                ("records".into(), Value::U64(restored_records)),
                 ("members".into(), Value::U64(members as u64)),
             ],
         );
-        server.resume = Some((snap.trace_digest, RunState::from_snapshot(snap.run)));
+        server.resume = Some((trace_digest, RunState::from_snapshot(run)));
         Ok(server)
     }
 
@@ -570,7 +573,7 @@ impl<B: Backend> Server<B> {
     }
 
     /// Member 0's backend — the convenience accessor for single-model
-    /// deployments built with [`Server::single`].
+    /// deployments built on [`Fleet::single`].
     pub fn backend(&self) -> &B {
         self.fleet.members()[0].backend()
     }
@@ -700,7 +703,7 @@ impl<B: Backend> Server<B> {
         let arrivals = trace.arrivals();
         let mut run = match self.resume.take() {
             Some((digest, run)) => {
-                if digest != trace_digest(trace) {
+                if digest != trace.digest() {
                     return Err(ServeError::BadSnapshot(
                         "restored run state belongs to a different arrival trace".into(),
                     ));
@@ -1147,42 +1150,43 @@ impl<B: Backend> Server<B> {
 
     /// Freezes the full runtime — ladders, cache, chain, backend clocks,
     /// mid-run loop state — into versioned, checksummed snapshot bytes.
+    /// Encodes straight from the live state: nothing is cloned but the
+    /// per-member ladders and clocks, and the trace digest was fixed
+    /// when the trace was built.
     fn capture_snapshot(&self, trace: &ArrivalTrace, run: &RunState) -> Vec<u8> {
-        let snap = ServerSnapshot {
-            campaign: self.config.campaign.clone(),
+        let monitors: Vec<_> = self
+            .monitors
+            .iter()
+            .map(HealthMonitor::export_state)
+            .collect();
+        let backend_clocks: Vec<u64> = self
+            .fleet
+            .members()
+            .iter()
+            .map(|m| m.backend().clock())
+            .collect();
+        SnapshotView {
+            campaign: &self.config.campaign,
             config_digest: self.config_digest(),
-            trace_digest: trace_digest(trace),
-            monitors: self.monitors.iter().map(|m| m.export_state()).collect(),
-            cache_entries: self
+            trace_digest: trace.digest(),
+            monitors: &monitors,
+            cache: self
                 .cache
                 .entries_in_order()
                 .into_iter()
-                .map(|(input, result)| CacheEntrySnapshot {
-                    input: input.to_vec(),
-                    class: result.class,
-                    confidence: result.confidence,
-                    model: result.model,
-                })
+                .map(|(input, r)| (input, r.class, r.confidence, r.model))
                 .collect(),
             chain: self
                 .chain
                 .records()
                 .iter()
-                .map(|r| ChainEntry {
-                    kind: r.kind,
-                    fields: r.fields.clone(),
-                })
+                .map(|r| (r.kind, r.fields.as_slice()))
                 .collect(),
             chain_head: self.chain.head_hash(),
-            backend_clocks: self
-                .fleet
-                .members()
-                .iter()
-                .map(|m| m.backend().clock())
-                .collect(),
-            run: run.to_snapshot(),
-        };
-        snap.encode()
+            backend_clocks: &backend_clocks,
+            run: run.view(),
+        }
+        .encode()
     }
 
     /// Seals a finished run into its report.

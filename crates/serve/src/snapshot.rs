@@ -27,6 +27,12 @@
 //! digest can never match, so a version-1 snapshot is refused with the
 //! version error rather than failing later as a trace mismatch.
 //!
+//! Capture cost follows the live state, not the trace: the trace digest
+//! is fixed when the trace is built ([`ArrivalTrace::digest`]), and a
+//! live capture encodes straight from borrowed server state through
+//! `SnapshotView`, the one encode path ([`ServerSnapshot::encode`]
+//! builds the same view from its owned fields).
+//!
 //! Decoding fails **closed**: a bad magic, unknown version, wrong
 //! length, checksum mismatch, short read, invalid enum tag, or trailing
 //! garbage all return [`ServeError::BadSnapshot`] and no partial state
@@ -134,49 +140,143 @@ pub struct ServerSnapshot {
     pub run: RunSnapshot,
 }
 
-impl ServerSnapshot {
-    /// Encodes to the versioned, checksummed wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.str(&self.campaign);
+impl RunSnapshot {
+    /// The borrowed view [`SnapshotView::encode`] writes.
+    fn view(&self) -> RunView<'_> {
+        RunView {
+            responses: &self.responses,
+            transitions: &self.transitions,
+            metrics: &self.metrics,
+            queue_items: &self.queue_items,
+            queue_cap: self.queue_cap,
+            queue_peak: self.queue_peak,
+            inflight: &self.inflight,
+            free_at: &self.free_at,
+            decisions: self.decisions,
+            next_arrival: self.next_arrival,
+            now: self.now,
+            stalled: self.stalled,
+            watchdog: &self.watchdog,
+            stats: &self.stats,
+        }
+    }
+}
+
+/// Everything a snapshot stores, borrowed: the one encode path. A live
+/// capture builds it from the server's state without copying the cache,
+/// chain or run state, and [`ServerSnapshot::encode`] builds it from its
+/// owned fields, so both write the same bytes.
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) campaign: &'a str,
+    pub(crate) config_digest: u64,
+    pub(crate) trace_digest: u64,
+    pub(crate) monitors: &'a [LadderState],
+    /// Result-cache entries in insertion order: input, class,
+    /// confidence, member.
+    pub(crate) cache: Vec<(&'a [f32], usize, f32, ModelId)>,
+    /// Evidence records in chain order: kind and fields.
+    pub(crate) chain: Vec<(RecordKind, &'a [(String, Value)])>,
+    pub(crate) chain_head: u64,
+    pub(crate) backend_clocks: &'a [u64],
+    pub(crate) run: RunView<'a>,
+}
+
+/// Mid-run loop state, borrowed (see [`RunSnapshot`] for the fields).
+pub(crate) struct RunView<'a> {
+    pub(crate) responses: &'a [Response],
+    pub(crate) transitions: &'a [ServiceTransition],
+    pub(crate) metrics: &'a Metrics,
+    pub(crate) queue_items: &'a [Pending],
+    pub(crate) queue_cap: u64,
+    pub(crate) queue_peak: u64,
+    pub(crate) inflight: &'a [InFlightBatch],
+    pub(crate) free_at: &'a [u64],
+    pub(crate) decisions: u64,
+    pub(crate) next_arrival: u64,
+    pub(crate) now: u64,
+    pub(crate) stalled: bool,
+    pub(crate) watchdog: &'a WatchdogState,
+    pub(crate) stats: &'a SoakStats,
+}
+
+impl SnapshotView<'_> {
+    /// Encodes to the versioned, checksummed wire format in one buffer:
+    /// header, payload, then the patched length and the payload CRC.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::container(self.payload_estimate());
+        w.str(self.campaign);
         w.u64(self.config_digest);
         w.u64(self.trace_digest);
         w.u64(self.monitors.len() as u64);
-        for m in &self.monitors {
+        for m in self.monitors {
             w.ladder(m);
         }
-        w.u64(self.cache_entries.len() as u64);
-        for e in &self.cache_entries {
-            w.f32s(&e.input);
-            w.u64(e.class as u64);
-            w.f32(e.confidence);
-            w.u16(e.model.index() as u16);
+        w.u64(self.cache.len() as u64);
+        for &(input, class, confidence, model) in &self.cache {
+            w.f32s(input);
+            w.u64(class as u64);
+            w.f32(confidence);
+            w.u16(model.index() as u16);
         }
         w.u64(self.chain.len() as u64);
-        for entry in &self.chain {
-            w.str(entry.kind.tag());
-            w.u64(entry.fields.len() as u64);
-            for (name, value) in &entry.fields {
+        for &(kind, fields) in &self.chain {
+            w.str(kind.tag());
+            w.u64(fields.len() as u64);
+            for (name, value) in fields {
                 w.str(name);
                 w.value(value);
             }
         }
         w.u64(self.chain_head);
-        w.u64(self.backend_clocks.len() as u64);
-        for &c in &self.backend_clocks {
-            w.u64(c);
-        }
+        w.u64s(self.backend_clocks);
         w.run(&self.run);
+        w.seal()
+    }
 
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(payload.len() + 20);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let checksum = crc32(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+    /// A payload size close to the encoded one, so the buffer is
+    /// reserved once: exact for the float runs that dominate, a
+    /// per-item allowance for the rest.
+    fn payload_estimate(&self) -> usize {
+        let run = &self.run;
+        let request = |p: &Pending| 48 + 4 * p.request.input.len();
+        let cache: usize = self.cache.iter().map(|e| 32 + 4 * e.0.len()).sum();
+        let chain: usize = self.chain.iter().map(|e| 48 + 40 * e.1.len()).sum();
+        let queue: usize = run.queue_items.iter().map(request).sum();
+        let inflight: usize = run
+            .inflight
+            .iter()
+            .flat_map(|b| &b.items)
+            .map(|(p, _)| 24 + request(p))
+            .sum();
+        let latencies = run.metrics.latencies.len() * 16;
+        1024 + cache + chain + queue + inflight + latencies + 48 * run.responses.len()
+    }
+}
+
+impl ServerSnapshot {
+    /// Encodes to the versioned, checksummed wire format, through the
+    /// same `SnapshotView` path a live capture takes.
+    pub fn encode(&self) -> Vec<u8> {
+        SnapshotView {
+            campaign: &self.campaign,
+            config_digest: self.config_digest,
+            trace_digest: self.trace_digest,
+            monitors: &self.monitors,
+            cache: self
+                .cache_entries
+                .iter()
+                .map(|e| (e.input.as_slice(), e.class, e.confidence, e.model))
+                .collect(),
+            chain: self
+                .chain
+                .iter()
+                .map(|e| (e.kind, e.fields.as_slice()))
+                .collect(),
+            chain_head: self.chain_head,
+            backend_clocks: &self.backend_clocks,
+            run: self.run.view(),
+        }
+        .encode()
     }
 
     /// Decodes and fully validates a snapshot.
@@ -186,7 +286,7 @@ impl ServerSnapshot {
     /// Returns [`ServeError::BadSnapshot`] on any structural defect; no
     /// partially decoded state escapes.
     pub fn decode(bytes: &[u8]) -> Result<Self, ServeError> {
-        let Some((header, rest)) = bytes.split_first_chunk::<16>() else {
+        let Some((header, rest)) = bytes.split_first_chunk::<HEADER>() else {
             return Err(bad("container shorter than the fixed header"));
         };
         let Some((payload, trailer)) = rest.split_last_chunk::<4>() else {
@@ -241,7 +341,7 @@ impl ServerSnapshot {
             Ok(ChainEntry { kind, fields })
         })?;
         let chain_head = r.u64()?;
-        let backend_clocks = r.vec(|r| r.u64())?;
+        let backend_clocks = r.u64s()?;
         let run = r.run()?;
         r.finish()?;
 
@@ -353,12 +453,34 @@ fn tier_from(tag: u8) -> Result<Tier, ServeError> {
     })
 }
 
-#[derive(Default)]
+/// Container header: magic, version, payload length.
+const HEADER: usize = 16;
+
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
+    /// A container buffer with room for a `payload`-byte body, its header
+    /// written with a zero length that [`Writer::seal`] patches.
+    fn container(payload: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER + payload + 4);
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        Writer { buf }
+    }
+
+    /// Patches the payload length into the header and appends the
+    /// payload's CRC.
+    fn seal(mut self) -> Vec<u8> {
+        let (header, payload) = self.buf.split_at_mut(HEADER);
+        header[HEADER - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        let checksum = crc32(payload);
+        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        self.buf
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -388,15 +510,23 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    fn f32s(&mut self, vs: &[f32]) {
+    /// A length, then `vs` as one run of `N`-byte words, written in
+    /// place after a single resize.
+    fn words<T, const N: usize>(&mut self, vs: &[T], bytes: impl Fn(&T) -> [u8; N]) {
         self.u64(vs.len() as u64);
-        self.buf
-            .extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        let start = self.buf.len();
+        self.buf.resize(start + N * vs.len(), 0);
+        for (out, v) in self.buf[start..].as_chunks_mut::<N>().0.iter_mut().zip(vs) {
+            *out = bytes(v);
+        }
+    }
+
+    fn f32s(&mut self, vs: &[f32]) {
+        self.words(vs, |v| v.to_bits().to_le_bytes());
     }
 
     fn u64s(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
+        self.words(vs, |v| v.to_le_bytes());
     }
 
     fn value(&mut self, v: &Value) {
@@ -526,9 +656,9 @@ impl Writer {
         }
     }
 
-    fn run(&mut self, run: &RunSnapshot) {
+    fn run(&mut self, run: &RunView<'_>) {
         self.u64(run.responses.len() as u64);
-        for r in &run.responses {
+        for r in run.responses {
             self.u64(r.id);
             self.u8(r.tier.index() as u8);
             self.u64(r.arrived_at);
@@ -536,7 +666,7 @@ impl Writer {
             self.outcome(&r.outcome);
         }
         self.u64(run.transitions.len() as u64);
-        for t in &run.transitions {
+        for t in run.transitions {
             self.u16(t.model.index() as u16);
             self.u8(state_tag(t.from));
             self.u8(state_tag(t.to));
@@ -544,7 +674,7 @@ impl Writer {
             self.u64(t.after_request);
         }
         // Metrics.
-        let m = &run.metrics;
+        let m = run.metrics;
         self.u64s(&m.latencies);
         for tier in &m.tier_latencies {
             self.u64s(tier);
@@ -578,14 +708,14 @@ impl Writer {
         }
         // Queue.
         self.u64(run.queue_items.len() as u64);
-        for p in &run.queue_items {
+        for p in run.queue_items {
             self.pending(p);
         }
         self.u64(run.queue_cap);
         self.u64(run.queue_peak);
         // In-flight batches.
         self.u64(run.inflight.len() as u64);
-        for b in &run.inflight {
+        for b in run.inflight {
             self.u16(b.model.index() as u16);
             self.u64(b.done_at);
             self.u64(b.items.len() as u64);
@@ -594,7 +724,7 @@ impl Writer {
                 self.verdict(v);
             }
         }
-        self.u64s(&run.free_at);
+        self.u64s(run.free_at);
         self.u64(run.decisions);
         self.u64(run.next_arrival);
         self.u64(run.now);

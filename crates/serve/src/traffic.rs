@@ -10,6 +10,7 @@ use safex_tensor::DetRng;
 
 use crate::error::ServeError;
 use crate::request::{Request, Tier};
+use crate::snapshot::trace_digest;
 
 /// One timestamped arrival.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,12 +22,32 @@ pub struct Arrival {
 }
 
 /// A recorded request stream: the replayable unit of serving load.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     arrivals: Vec<Arrival>,
+    /// [`trace_digest`] of `arrivals`, computed once: a trace never
+    /// changes after construction, so snapshot capture and restore read
+    /// this instead of re-hashing every input.
+    digest: u64,
+}
+
+impl Default for ArrivalTrace {
+    fn default() -> Self {
+        ArrivalTrace::sealed(Vec::new())
+    }
 }
 
 impl ArrivalTrace {
+    /// Wraps validated arrivals and fixes their digest.
+    fn sealed(arrivals: Vec<Arrival>) -> Self {
+        let mut trace = ArrivalTrace {
+            arrivals,
+            digest: 0,
+        };
+        trace.digest = trace_digest(&trace);
+        trace
+    }
+
     /// Builds a trace from explicit arrivals.
     ///
     /// # Errors
@@ -56,7 +77,12 @@ impl ArrivalTrace {
             }
             last = a.at;
         }
-        Ok(ArrivalTrace { arrivals })
+        Ok(ArrivalTrace::sealed(arrivals))
+    }
+
+    /// The trace's [`trace_digest`], computed when the trace was built.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// The arrivals, in time order.
@@ -367,5 +393,27 @@ mod tests {
             assert!(bad.validate().is_err());
         }
         assert!(TrafficConfig::default().synthesize(&Vec::new()).is_err());
+    }
+
+    #[test]
+    fn stored_digest_is_the_trace_digest() {
+        let synthesized = TrafficConfig::default().synthesize(&inputs()).unwrap();
+        let explicit = ArrivalTrace::from_arrivals(synthesized.arrivals().to_vec()).unwrap();
+        let shaped = TrafficShape::default().shape(&inputs()).unwrap();
+        let empty = ArrivalTrace::default();
+        for trace in [
+            &synthesized,
+            &explicit,
+            &shaped,
+            &empty,
+            &synthesized.clone(),
+        ] {
+            assert_eq!(trace.digest(), trace_digest(trace));
+        }
+        assert_eq!(explicit.digest(), synthesized.digest());
+        assert_ne!(shaped.digest(), synthesized.digest());
+        // An empty trace carries the digest of no arrivals, not a zero.
+        assert_eq!(empty.digest(), safex_trace::WordHash::new().finish());
+        assert_ne!(empty.digest(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //! shedding order, deadline semantics, and the health-gated degradation
 //! walk under mid-traffic weight strikes.
 //!
-//! These tests run the single-model shape ([`Server::single`]) — the
+//! These tests run the single-model shape (`Fleet::single`) — the
 //! pre-fleet deployment the fleet redesign had to keep working. The
 //! fleet-specific behaviours (routing, per-model ladders, cache,
 //! fairness) live in `tests/fleet.rs`.
@@ -11,7 +11,7 @@ use safex_core::health::{HealthConfig, HealthState};
 use safex_nn::model::ModelBuilder;
 use safex_nn::{Engine, HardenConfig, HardenedEngine, Model};
 use safex_serve::{
-    Arrival, ArrivalTrace, BatchPolicy, ModelId, Outcome, PoolBackend, Request, Server,
+    Arrival, ArrivalTrace, BatchPolicy, Fleet, ModelId, Outcome, PoolBackend, Request, Server,
     ServerConfig, ShedReason, Tier, TrafficConfig,
 };
 use safex_tensor::{DetRng, Shape};
@@ -67,7 +67,7 @@ fn replay_is_byte_identical_for_any_worker_count() {
     let mut reference_json = None;
     for workers in [1usize, 2, 4, 8] {
         let backend = PoolBackend::new(&engine, workers).unwrap();
-        let mut server = Server::single(ServerConfig::default(), backend).unwrap();
+        let mut server = Server::new(ServerConfig::default(), Fleet::single(backend)).unwrap();
         let report = server.run_trace(&trace).unwrap();
         let json = report.to_json().to_string_compact();
         match &reference_json {
@@ -83,7 +83,7 @@ fn replay_is_byte_identical_for_any_worker_count() {
     }
     // And a plain rerun reproduces the artefact byte for byte.
     let backend = PoolBackend::new(&engine, 4).unwrap();
-    let mut server = Server::single(ServerConfig::default(), backend).unwrap();
+    let mut server = Server::new(ServerConfig::default(), Fleet::single(backend)).unwrap();
     let again = server
         .run_trace(&trace)
         .unwrap()
@@ -119,7 +119,7 @@ fn overload_sheds_strictly_lowest_criticality_first() {
             .with_max_linger(10_000),
     );
     let backend = PoolBackend::new(&engine, 2).unwrap();
-    let mut server = Server::single(config, backend).unwrap();
+    let mut server = Server::new(config, Fleet::single(backend)).unwrap();
     let report = server.run_trace(&trace).unwrap();
 
     let shed: Vec<_> = report
@@ -187,7 +187,7 @@ fn expired_deadlines_produce_timeouts_never_stale_responses() {
         .collect();
     let trace = ArrivalTrace::from_arrivals(arrivals).unwrap();
     let backend = PoolBackend::new(&engine, 1).unwrap();
-    let mut server = Server::single(ServerConfig::default(), backend).unwrap();
+    let mut server = Server::new(ServerConfig::default(), Fleet::single(backend)).unwrap();
     let report = server.run_trace(&trace).unwrap();
     for r in &report.responses {
         assert_eq!(
@@ -221,7 +221,7 @@ fn weight_strike_walks_the_ladder_with_zero_silent_corruption() {
     .unwrap();
     let config = ServerConfig::default().with_health(strike_health());
     let backend = PoolBackend::new(&engine, 2).unwrap();
-    let mut server = Server::single(config.clone(), backend).unwrap();
+    let mut server = Server::new(config.clone(), Fleet::single(backend)).unwrap();
     // Persistent weight corruption lands just before request 40 is
     // admitted; the CRC flags every subsequent decision, so the ladder
     // must walk Nominal → Degraded → SafeStop.
@@ -289,7 +289,7 @@ fn weight_strike_walks_the_ladder_with_zero_silent_corruption() {
     );
     // And the whole faulted run still replays byte-for-byte.
     let backend = PoolBackend::new(&engine, 8).unwrap();
-    let mut server2 = Server::single(config, backend).unwrap();
+    let mut server2 = Server::new(config, Fleet::single(backend)).unwrap();
     let replay = server2.run_trace_with(&trace, strike).unwrap();
     assert_eq!(replay, report, "faulted replay diverged");
     assert_eq!(
@@ -320,7 +320,7 @@ fn safe_stop_fails_all_requests_without_execution() {
     .synthesize(&inputs)
     .unwrap();
     let backend = PoolBackend::new(&engine, 1).unwrap();
-    let mut server = Server::single(config, backend).unwrap();
+    let mut server = Server::new(config, Fleet::single(backend)).unwrap();
     let report = server
         .run_trace_with(&trace, |request, fleet| {
             if request.id == 0 {

@@ -375,3 +375,83 @@ proptest! {
         prop_assert!(ServerSnapshot::decode(&corrupt).is_err());
     }
 }
+
+/// A fixed mid-run capture from a two-member fleet: a 12-entry cache
+/// cycling 24 inputs (so it has evicted and served hits), a 2-bit strike
+/// on member 0 that walks its ladder, and batches still in flight at the
+/// capture point. Length and CRC are pinned: any change to the field
+/// order, widths or content of the encoding fails here.
+#[test]
+fn fixed_mid_run_capture_known_answer() {
+    let mut rng = DetRng::new(0x005E_ED16);
+    let model = ModelBuilder::new(Shape::vector(4))
+        .dense(6, &mut rng)
+        .unwrap()
+        .relu()
+        .dense(3, &mut rng)
+        .unwrap()
+        .softmax()
+        .build()
+        .unwrap();
+    let inputs: Vec<Vec<f32>> = (0..24)
+        .map(|_| (0..4).map(|_| rng.next_f32()).collect())
+        .collect();
+    let mut engine = HardenedEngine::new(model, HardenConfig::default()).unwrap();
+    engine.calibrate(&inputs).unwrap();
+    let fleet = Fleet::builder()
+        .register("a", PoolBackend::new(&engine, 1).unwrap())
+        .register("b", PoolBackend::new(&engine, 1).unwrap())
+        .build()
+        .unwrap();
+    let config = ServerConfig::default()
+        .with_cache(CacheConfig::enabled(12))
+        .with_campaign("snapshot-kat");
+    let mut server = Server::new(config, fleet).unwrap();
+    let trace = TrafficConfig {
+        seed: 0x005E_ED16,
+        requests: 160,
+        mean_interarrival: 2.0,
+        deadline: 300,
+        ..TrafficConfig::default()
+    }
+    .synthesize(&inputs)
+    .unwrap();
+    let outcome = server
+        .run_soak_with(
+            &trace,
+            OpsPlan::none().with_snapshot_at(120),
+            &mut SimClock,
+            |request, fleet| {
+                if request.id == 40 {
+                    fleet
+                        .backend_mut(ModelId::new(0))
+                        .unwrap()
+                        .strike_weights(0xBAD5EED, 1, 2)
+                        .unwrap();
+                }
+            },
+        )
+        .unwrap();
+    let bytes = outcome.snapshot.expect("capture point inside the trace");
+    assert_eq!(
+        (bytes.len(), ServerSnapshot::stored_checksum(&bytes)),
+        (17_352, Some(0xb247_1345))
+    );
+    let snap = ServerSnapshot::decode(&bytes).unwrap();
+
+    // The capture exercises what it claims to.
+    assert!(!snap.run.inflight.is_empty(), "batches in flight");
+    assert_eq!(snap.cache_entries.len(), 12, "cache full");
+    let m = snap.run.metrics.snapshot();
+    let computed = m.total_completed() - m.total_cached();
+    assert!(
+        computed > 24,
+        "24 inputs computed {computed} times: the cache has evicted"
+    );
+    let has = |kind| snap.chain.iter().any(|e| e.kind == kind);
+    assert!(has(RecordKind::CacheHit));
+    assert!(has(RecordKind::HealthTransition));
+    assert!(!snap.run.transitions.is_empty());
+
+    assert_eq!(snap.encode(), bytes, "live capture == decode + encode");
+}

@@ -354,7 +354,8 @@ fn watchdog_escalates_a_starved_stage_to_fleet_safe_stop() {
     let config = ServerConfig::default()
         .with_watchdog(WatchdogConfig::enabled(64).with_proof_cadence(1_000))
         .with_campaign("soak-watchdog");
-    let mut server = Server::single(config, PoolBackend::new(&engine, 1).unwrap()).unwrap();
+    let mut server =
+        Server::new(config, Fleet::single(PoolBackend::new(&engine, 1).unwrap())).unwrap();
     let ops = OpsPlan::none().with_stall(StallOp {
         stage: WatchStage::Batcher,
         from: 0,
@@ -504,7 +505,8 @@ fn snapshot_misuse_fails_closed() {
     let tiny = ArrivalTrace::from_arrivals(arrivals).unwrap();
     let config = ServerConfig::default()
         .with_policy(BatchPolicy::default().with_max_batch(1).with_queue_cap(8));
-    let mut server = Server::single(config, PoolBackend::new(&engine, 1).unwrap()).unwrap();
+    let mut server =
+        Server::new(config, Fleet::single(PoolBackend::new(&engine, 1).unwrap())).unwrap();
     let ops = OpsPlan::none()
         .with_stall(StallOp {
             stage: WatchStage::Release,
@@ -540,10 +542,10 @@ fn duplicate_members_and_bad_swap_targets_are_typed_errors() {
         matches!(dup, Err(ServeError::DuplicateMember(ref name)) if name == "primary"),
         "duplicate registration must fail typed, got {dup:?}"
     );
-    // Server::single always builds the one canonical member.
-    let server = Server::single(
+    // Fleet::single always builds the one canonical member.
+    let server = Server::new(
         ServerConfig::default(),
-        PoolBackend::new(&engine, 1).unwrap(),
+        Fleet::single(PoolBackend::new(&engine, 1).unwrap()),
     )
     .unwrap();
     assert_eq!(server.fleet().members()[0].name(), "primary");
@@ -557,9 +559,9 @@ fn duplicate_members_and_bad_swap_targets_are_typed_errors() {
     }
     .synthesize(&inputs)
     .unwrap();
-    let mut server = Server::single(
+    let mut server = Server::new(
         ServerConfig::default(),
-        PoolBackend::new(&engine, 1).unwrap(),
+        Fleet::single(PoolBackend::new(&engine, 1).unwrap()),
     )
     .unwrap();
     let ops = OpsPlan::none().with_swap(SwapOp {

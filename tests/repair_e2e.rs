@@ -7,7 +7,7 @@
 use safex_core::health::{HealthConfig, HealthState};
 use safex_nn::model::ModelBuilder;
 use safex_nn::{EccConfig, Engine, HardenConfig, HardenedEngine, Model};
-use safex_serve::{ModelId, Outcome, PoolBackend, Server, ServerConfig, TrafficConfig};
+use safex_serve::{Fleet, ModelId, Outcome, PoolBackend, Server, ServerConfig, TrafficConfig};
 use safex_tensor::{DetRng, Shape};
 use safex_trace::RecordKind;
 
@@ -63,7 +63,7 @@ fn single_bit_flip_is_corrected_and_the_server_stays_nominal() {
     .synthesize(&inputs)
     .unwrap();
     let backend = PoolBackend::new(&engine, 4).unwrap();
-    let mut server = Server::single(server_config(), backend).unwrap();
+    let mut server = Server::new(server_config(), Fleet::single(backend)).unwrap();
     // One SEU flipping one bit of one weight, landing mid-traffic.
     let report = server
         .run_trace_with(&trace, |request, fleet| {
@@ -136,7 +136,7 @@ fn double_bit_flip_still_walks_degraded_then_safe_stop() {
     .synthesize(&inputs)
     .unwrap();
     let backend = PoolBackend::new(&engine, 4).unwrap();
-    let mut server = Server::single(server_config(), backend).unwrap();
+    let mut server = Server::new(server_config(), Fleet::single(backend)).unwrap();
     // Two bits of the same weight word: beyond single-error correction,
     // so the sidecar must refuse to touch it and escalate as before.
     let report = server
