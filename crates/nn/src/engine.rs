@@ -201,23 +201,18 @@ impl Engine {
         Ok(argmax(out))
     }
 
-    /// Runs the whole batch through the layer stack inside the
-    /// batch-major arena, leaving the final activations in place.
+    /// Stages the batch in the batch-major arena and runs it through the
+    /// layer stack ([`run_layers`]), leaving the final activations in
+    /// place.
     ///
     /// Returns `(output_len, output_in_arena_a)`; item `i`'s output lives
-    /// at `arena[i * max_activation_len ..][..output_len]`. Dense layers
-    /// run the batched kernel (each weight row streamed once per batch);
-    /// every other layer runs per item over its arena slot. Results are
+    /// at `arena[i * max_activation_len ..][..output_len]`. Results are
     /// bit-identical to per-item [`Engine::infer`].
     fn run_batch<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<(usize, bool), NnError> {
         let expected = self.model.input_shape();
         let n = inputs.len();
         let stride = self.model.max_activation_len();
-        let need = n * stride;
-        if self.arena_a.len() < need {
-            self.arena_a.resize(need, 0.0);
-            self.arena_b.resize(need, 0.0);
-        }
+        reserve_arenas(&mut self.arena_a, &mut self.arena_b, n * stride);
         for (item, input) in inputs.iter().enumerate() {
             let input = input.as_ref();
             if input.len() != expected.len() {
@@ -228,37 +223,15 @@ impl Engine {
             }
             self.arena_a[item * stride..item * stride + input.len()].copy_from_slice(input);
         }
-        let mut cur_shape = expected;
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers().iter().enumerate() {
-            let out_shape = self
-                .model
-                .layer_output_shape(i)
-                .expect("layer index in range");
-            let (src, dst) = if cur_in_a {
-                (&self.arena_a, &mut self.arena_b)
-            } else {
-                (&self.arena_b, &mut self.arena_a)
-            };
-            if let Layer::Dense(d) = layer {
-                ops::dense_batch_into(
-                    &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
-                )?;
-            } else {
-                for item in 0..n {
-                    run_layer(
-                        layer,
-                        &src[item * stride..item * stride + cur_shape.len()],
-                        &mut dst[item * stride..item * stride + out_shape.len()],
-                        &cur_shape,
-                    )?;
-                }
-            }
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
+        let out = run_layers(
+            &self.model,
+            &mut self.arena_a,
+            &mut self.arena_b,
+            n,
+            |_, _, _| {},
+        )?;
         self.inferences += n as u64;
-        Ok((cur_shape.len(), cur_in_a))
+        Ok(out)
     }
 
     /// Runs the model over a batch, returning one owned output per item.
@@ -306,6 +279,70 @@ impl Engine {
             .map(|item| argmax(&slab[item * stride..item * stride + out_len]))
             .collect())
     }
+}
+
+/// Grows both batch-major ping-pong arenas to at least `len` elements;
+/// they are reused across layers and across calls, never shrunk.
+pub(crate) fn reserve_arenas(arena_a: &mut Vec<f32>, arena_b: &mut Vec<f32>, len: usize) {
+    if arena_a.len() < len {
+        arena_a.resize(len, 0.0);
+        arena_b.resize(len, 0.0);
+    }
+}
+
+/// Runs `n` items, staged at `arena_a[item * stride..][..input_len]`
+/// (`stride = model.max_activation_len()`), through every layer in the
+/// batch-major ping-pong arena.
+///
+/// Dense layers run the batched kernel (each weight row streamed once
+/// per batch); every other layer runs per item over its arena slot.
+/// After each layer, `after_layer(layer, item, activation)` sees every
+/// item's fresh output, items in order: the hook the hardened engine
+/// injects activation faults and runs its guards from. Returns
+/// `(output_len, output_in_arena_a)`. Outputs are bit-identical to
+/// per-item [`Engine::infer`].
+pub(crate) fn run_layers(
+    model: &Model,
+    arena_a: &mut [f32],
+    arena_b: &mut [f32],
+    n: usize,
+    mut after_layer: impl FnMut(usize, usize, &mut [f32]),
+) -> Result<(usize, bool), NnError> {
+    let stride = model.max_activation_len();
+    let mut cur_shape = model.input_shape();
+    let mut cur_in_a = true;
+    for (i, layer) in model.layers().iter().enumerate() {
+        let out_shape = model.layer_output_shape(i).expect("layer index in range");
+        let (src, dst) = if cur_in_a {
+            (&*arena_a, &mut *arena_b)
+        } else {
+            (&*arena_b, &mut *arena_a)
+        };
+        if let Layer::Dense(d) = layer {
+            ops::dense_batch_into(
+                &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
+            )?;
+        } else {
+            for item in 0..n {
+                run_layer(
+                    layer,
+                    &src[item * stride..item * stride + cur_shape.len()],
+                    &mut dst[item * stride..item * stride + out_shape.len()],
+                    &cur_shape,
+                )?;
+            }
+        }
+        for item in 0..n {
+            after_layer(
+                i,
+                item,
+                &mut dst[item * stride..item * stride + out_shape.len()],
+            );
+        }
+        cur_shape = out_shape;
+        cur_in_a = !cur_in_a;
+    }
+    Ok((cur_shape.len(), cur_in_a))
 }
 
 /// Argmax over a final activation, ties broken toward the lower index.

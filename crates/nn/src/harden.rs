@@ -16,8 +16,9 @@
 //! answers; a [`HealthSink`] carries them out of the engine to whoever
 //! owns the safety argument (in `safex-core`, the `HealthMonitor`).
 //!
-//! [`HardenedEngine`] mirrors [`Engine`] (ping-pong buffers, no hot-path
-//! allocation beyond event reporting) and [`HardenedPool`] mirrors
+//! [`HardenedEngine`] mirrors [`Engine`]'s batch path (batch-major
+//! ping-pong arenas reused across calls, no hot-path allocation beyond
+//! event reporting) and [`HardenedPool`] mirrors
 //! [`crate::EnginePool`]. Per-decision work — injections from an attached
 //! [`FaultPlan`] and every detection — is keyed by a global *decision
 //! index*, so pooled execution is bit-identical to sequential execution
@@ -27,10 +28,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use safex_tensor::CrcAccumulator;
+use safex_tensor::{CrcAccumulator, DetRng};
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
-use crate::engine::{run_layer, Classification, Engine};
+use crate::engine::{argmax, reserve_arenas, run_layers, Classification, Engine};
 use crate::error::NnError;
 use crate::fault::{apply_input_fault, FaultPlan, Injection, InjectionLog};
 use crate::layer::Layer;
@@ -394,7 +395,7 @@ impl ActivationGuard {
 /// cadence tick (O(total params) per verifying decision, staleness ≤
 /// cadence); [`CrcStrategy::Rotating`] verifies *one* layer per tick in
 /// round-robin (O(largest layer) per verifying decision, staleness ≤
-/// cadence × parametric layer count). Both verify before the layer loop,
+/// cadence × parametric layer count). Both verify before the layer pass,
 /// so a repaired fault never reaches the decision's output. The
 /// rotation cursor is derived purely from the global decision index, so
 /// pooled and sequential runs of the same decision check the same layer
@@ -477,8 +478,7 @@ impl HardenConfig {
 /// An [`Engine`]-shaped executor with built-in fault injection and
 /// detection.
 ///
-/// Same ping-pong buffer discipline as [`Engine`]; additionally, per
-/// decision it (1) applies the attached [`FaultPlan`], (2) verifies
+/// Per decision it (1) applies the attached [`FaultPlan`], (2) verifies
 /// weight checksums on the configured cadence, and (3) runs the
 /// activation guard. Detections land in [`HardenedEngine::last_events`]
 /// and, when attached, a shared [`HealthSink`]; injections land in
@@ -488,11 +488,31 @@ impl HardenConfig {
 /// Everything per-decision is keyed by a monotonically increasing decision
 /// index (or an explicit one via the `*_indexed` methods), making runs a
 /// pure function of `(model, plan, index, input)`.
+///
+/// Decisions run as batch-major *chunks* (the per-item API is a chunk of
+/// one; [`HardenedPool`] hands each replica its whole chunk). Each
+/// decision, in index order, draws its input fault, checks finiteness
+/// and runs its own scheduled CRC check(s); then the chunk runs one
+/// layer pass through the same batch-major arena as
+/// [`Engine::infer_batch`], with every item's activation-fault draws and
+/// guard checks after each layer. A check about to repair weights first
+/// flushes the earlier decisions' layer pass, so they compute on the
+/// pre-repair weights exactly as a per-item loop would.
 #[derive(Debug, Clone)]
 pub struct HardenedEngine {
     model: Model,
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
+    /// Batch-major ping-pong arenas, `chunk × max_activation_len` each,
+    /// grown on demand and reused across chunks.
+    arena_a: Vec<f32>,
+    arena_b: Vec<f32>,
+    /// Per-decision state of the most recent chunk; only the first
+    /// `live` entries belong to it (the rest keep their allocations).
+    chunk: Vec<Decision>,
+    live: usize,
+    /// Decisions `flushed..staged` of the chunk in flight have passed
+    /// their checks and wait for the layer pass.
+    flushed: usize,
+    staged: usize,
     golden: Vec<(usize, u32)>,
     sidecars: Vec<EccCode>,
     config: HardenConfig,
@@ -500,8 +520,6 @@ pub struct HardenedEngine {
     plan: Option<FaultPlan>,
     sink: Option<HealthSink>,
     log: Option<InjectionLog>,
-    events: Vec<HealthEvent>,
-    injections: Vec<Injection>,
     decisions: u64,
     events_seen: u64,
     /// Decisions `< synced_to` have had their scheduled repairs applied to
@@ -516,6 +534,14 @@ pub struct HardenedEngine {
     staleness_cached: Option<u64>,
 }
 
+/// One decision of a chunk: its fault stream and what it observed.
+#[derive(Debug, Clone, Default)]
+struct Decision {
+    rng: Option<DetRng>,
+    events: Vec<HealthEvent>,
+    injections: Vec<Injection>,
+}
+
 impl HardenedEngine {
     /// Creates a hardened engine, capturing golden checksums from the
     /// (presumed pristine) model.
@@ -525,7 +551,6 @@ impl HardenedEngine {
     /// Returns [`NnError::Fault`] on an invalid config.
     pub fn new(model: Model, config: HardenConfig) -> Result<Self, NnError> {
         config.validate()?;
-        let cap = model.max_activation_len();
         let golden = layer_checksums(&model);
         let sidecars = match config.repair {
             Some(ecc) => encode_sidecars(&model, &golden, ecc)?,
@@ -534,8 +559,12 @@ impl HardenedEngine {
         let staleness_cached = config.staleness_bound(golden.len());
         Ok(HardenedEngine {
             model,
-            buf_a: vec![0.0; cap],
-            buf_b: vec![0.0; cap],
+            arena_a: Vec::new(),
+            arena_b: Vec::new(),
+            chunk: Vec::new(),
+            live: 0,
+            flushed: 0,
+            staged: 0,
             golden,
             sidecars,
             config,
@@ -543,8 +572,6 @@ impl HardenedEngine {
             plan: None,
             sink: None,
             log: None,
-            events: Vec::new(),
-            injections: Vec::new(),
             decisions: 0,
             events_seen: 0,
             synced_to: 0,
@@ -677,83 +704,77 @@ impl HardenedEngine {
     /// batch in which some replica repaired a fault: a replica that ran
     /// none of that batch's checks would otherwise carry the repaired
     /// fault past the next [`HardenedEngine::sync_to`].
-    pub(crate) fn settle(&mut self, index: u64) {
+    pub(crate) fn settle(&mut self, index: u64) -> Result<(), NnError> {
         if self.config.repair.is_some() && self.config.crc_cadence > 0 && !self.golden.is_empty() {
-            self.catch_up(index);
+            self.catch_up(index)?;
             self.sync_to(index);
         }
+        Ok(())
     }
 
     /// Replays the silent repairs a sequential engine would have applied
     /// on the scheduled checks in `[synced_to, index)` — the catch-up that
     /// keeps a pooled replica's weights byte-identical to the sequential
     /// reference before it executes decision `index`.
-    fn catch_up(&mut self, index: u64) {
+    fn catch_up(&mut self, index: u64) -> Result<(), NnError> {
         let cadence = self.config.crc_cadence;
         let t0 = self.synced_to.div_ceil(cadence);
         let t1 = index.div_ceil(cadence);
         if t0 >= t1 {
-            return;
+            return Ok(());
         }
-        match self.config.crc_strategy {
-            CrcStrategy::Full => {
-                for gi in 0..self.golden.len() {
-                    self.silent_repair(gi);
-                }
+        let len = self.golden.len() as u64;
+        if self.config.crc_strategy == CrcStrategy::Full || t1 - t0 >= len {
+            for gi in 0..self.golden.len() {
+                self.silent_repair(gi)?;
             }
-            CrcStrategy::Rotating => {
-                let len = self.golden.len() as u64;
-                if t1 - t0 >= len {
-                    for gi in 0..self.golden.len() {
-                        self.silent_repair(gi);
-                    }
-                } else {
-                    for t in t0..t1 {
-                        self.silent_repair((t % len) as usize);
-                    }
-                }
+        } else {
+            for t in t0..t1 {
+                self.silent_repair((t % len) as usize)?;
             }
         }
+        Ok(())
     }
 
     /// Repairs golden slot `gi` if its CRC mismatches, without reporting:
     /// the replica that owns the scheduled check emits the event; this is
     /// only weight-state reconciliation.
-    fn silent_repair(&mut self, gi: usize) {
+    fn silent_repair(&mut self, gi: usize) -> Result<(), NnError> {
         let (layer, expected) = self.golden[gi];
         let actual = layer_checksum(&self.model.layers()[layer])
             .expect("golden entries index parametric layers");
         if expected != actual {
-            self.attempt_repair(gi);
+            self.attempt_repair(gi)?;
         }
+        Ok(())
     }
 
     /// Runs one scheduled CRC check over golden slot `gi`, attempting an
     /// in-place ECC repair before escalating when repair is enabled.
-    fn check_slot(&mut self, gi: usize, staleness: u64) {
+    /// Returns the event the check raises, if any.
+    fn check_slot(&mut self, gi: usize, staleness: u64) -> Result<Option<HealthEvent>, NnError> {
         let (layer, expected) = self.golden[gi];
         let actual = layer_checksum(&self.model.layers()[layer])
             .expect("golden entries index parametric layers");
         if expected == actual {
-            return;
+            return Ok(None);
         }
         if self.config.repair.is_some() {
-            if let Some((word, bit)) = self.attempt_repair(gi) {
-                self.events.push(HealthEvent::CorrectedFault {
+            if let Some((word, bit)) = self.attempt_repair(gi)? {
+                return Ok(Some(HealthEvent::CorrectedFault {
                     layer,
                     word,
                     bit,
                     staleness,
-                });
-                return;
+                }));
             }
         }
-        self.events.push(HealthEvent::ChecksumMismatch {
+        Ok(Some(HealthEvent::ChecksumMismatch {
             layer,
             expected,
             actual,
             staleness,
-        });
+        }))
     }
 
     /// Tries to ECC-correct golden slot `gi`'s parameters. Writes back
@@ -762,7 +783,12 @@ impl HardenedEngine {
     /// restored. `None` leaves the model untouched (uncorrectable damage,
     /// or ≥ 3 flips forging a single-flip signature that the CRC
     /// re-verification rejects).
-    fn attempt_repair(&mut self, gi: usize) -> Option<(usize, u32)> {
+    ///
+    /// The write is the only weight change inside a chunk, so it first
+    /// flushes the layer pass of the chunk's decisions staged so far:
+    /// they run on the pre-repair weights, exactly as the sequential
+    /// loop ran them before this check.
+    fn attempt_repair(&mut self, gi: usize) -> Result<Option<(usize, u32)>, NnError> {
         let (layer, expected) = self.golden[gi];
         let sidecar = &self.sidecars[gi];
         let (weights, bias) = parametric_buffers(&self.model.layers()[layer])
@@ -771,9 +797,12 @@ impl HardenedEngine {
         let mut words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
         match sidecar.repair(&mut words) {
             RepairOutcome::Corrected { word, bit } => {
-                if crc32_words(words.iter().copied()) != expected {
-                    return None;
+                let mut crc = CrcAccumulator::new();
+                crc.update_words(&words);
+                if crc.finish() != expected {
+                    return Ok(None);
                 }
+                self.flush()?;
                 let repaired = f32::from_bits(words[word]);
                 let (weights, bias) = parametric_buffers_mut(&mut self.model.layers_mut()[layer])
                     .expect("golden entries index parametric layers");
@@ -782,9 +811,9 @@ impl HardenedEngine {
                 } else {
                     bias[word - n_weights] = repaired;
                 }
-                Some((word, bit))
+                Ok(Some((word, bit)))
             }
-            RepairOutcome::Clean | RepairOutcome::Uncorrectable => None,
+            RepairOutcome::Clean | RepairOutcome::Uncorrectable => Ok(None),
         }
     }
 
@@ -809,19 +838,23 @@ impl HardenedEngine {
     /// sidecar parity disagrees.
     pub fn verify_weights(&self) -> Result<(), NnError> {
         for (gi, &(layer, expected)) in self.golden.iter().enumerate() {
-            let (weights, bias) = parametric_buffers(&self.model.layers()[layer])
-                .expect("golden entries index parametric layers");
-            let words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
-            let actual = crc32_words(words.iter().copied());
+            let layer_params = &self.model.layers()[layer];
+            let actual =
+                layer_checksum(layer_params).expect("golden entries index parametric layers");
             if actual != expected {
                 return Err(NnError::Fault(format!(
                     "layer {layer} crc mismatch: golden {expected:#010x}, actual {actual:#010x}"
                 )));
             }
-            if self.config.repair.is_some() && !self.sidecars[gi].check(&words) {
-                return Err(NnError::Fault(format!(
-                    "layer {layer} ecc sidecar parity disagrees with weights"
-                )));
+            if self.config.repair.is_some() {
+                let (weights, bias) = parametric_buffers(layer_params)
+                    .expect("golden entries index parametric layers");
+                let words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
+                if !self.sidecars[gi].check(&words) {
+                    return Err(NnError::Fault(format!(
+                        "layer {layer} ecc sidecar parity disagrees with weights"
+                    )));
+                }
             }
         }
         Ok(())
@@ -840,12 +873,14 @@ impl HardenedEngine {
 
     /// Events raised by the most recent decision.
     pub fn last_events(&self) -> &[HealthEvent] {
-        &self.events
+        self.chunk[..self.live].last().map_or(&[], |d| &d.events)
     }
 
     /// Injections performed by the most recent decision.
     pub fn last_injections(&self) -> &[Injection] {
-        &self.injections
+        self.chunk[..self.live]
+            .last()
+            .map_or(&[], |d| &d.injections)
     }
 
     /// Runs one decision at the engine's own monotone index.
@@ -855,10 +890,9 @@ impl HardenedEngine {
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn infer(&mut self, input: &[f32]) -> Result<&[f32], NnError> {
         let index = self.decisions;
-        let (len, in_a) = self.run(index, input)?;
+        self.run_chunk(index, &[input])?;
         self.decisions += 1;
-        let buf = if in_a { &self.buf_a } else { &self.buf_b };
-        Ok(&buf[..len])
+        Ok(self.output(0))
     }
 
     /// Runs one decision at an explicit global index (pool path).
@@ -869,9 +903,8 @@ impl HardenedEngine {
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn infer_indexed(&mut self, index: u64, input: &[f32]) -> Result<&[f32], NnError> {
-        let (len, in_a) = self.run(index, input)?;
-        let buf = if in_a { &self.buf_a } else { &self.buf_b };
-        Ok(&buf[..len])
+        self.run_chunk(index, &[input])?;
+        Ok(self.output(0))
     }
 
     /// Classification convenience over [`HardenedEngine::infer`].
@@ -880,10 +913,7 @@ impl HardenedEngine {
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn classify(&mut self, input: &[f32]) -> Result<Classification, NnError> {
-        let index = self.decisions;
-        let c = self.classify_indexed(index, input)?;
-        self.decisions += 1;
-        Ok(c)
+        Ok(argmax(self.infer(input)?))
     }
 
     /// Classification at an explicit global index (pool path).
@@ -896,61 +926,128 @@ impl HardenedEngine {
         index: u64,
         input: &[f32],
     ) -> Result<Classification, NnError> {
-        let out = self.infer_indexed(index, input)?;
-        let mut best = Classification {
-            class: 0,
-            confidence: f32::NEG_INFINITY,
-        };
-        for (i, &v) in out.iter().enumerate() {
-            if v > best.confidence {
-                best = Classification {
-                    class: i,
-                    confidence: v,
-                };
-            }
-        }
-        Ok(best)
+        Ok(argmax(self.infer_indexed(index, input)?))
     }
 
-    /// The core decision: inject → execute → detect.
-    fn run(&mut self, index: u64, input: &[f32]) -> Result<(usize, bool), NnError> {
-        if input.len() != self.model.input_shape().len() {
-            return Err(NnError::InputShape {
-                expected: self.model.input_shape(),
-                actual: input.len(),
+    /// Classifies decisions `start..start + inputs.len()` as one chunk,
+    /// pushing one [`CheckedClassification`] per item in order; equal to
+    /// a [`HardenedEngine::classify_indexed`] loop over the same indices.
+    fn classify_chunk<I: AsRef<[f32]>>(
+        &mut self,
+        start: u64,
+        inputs: &[I],
+        out: &mut Vec<CheckedClassification>,
+    ) -> Result<(), NnError> {
+        self.run_chunk(start, inputs)?;
+        for (item, decision) in self.chunk[..self.live].iter().enumerate() {
+            out.push(CheckedClassification {
+                classification: argmax(self.output(item)),
+                events: decision.events.clone(),
+                injections: decision.injections.clone(),
             });
         }
-        self.events.clear();
-        self.injections.clear();
-        self.buf_a[..input.len()].copy_from_slice(input);
+        Ok(())
+    }
+
+    /// Final activation of item `item` of the most recent chunk.
+    fn output(&self, item: usize) -> &[f32] {
+        let stride = self.model.max_activation_len();
+        let slab = if self.model.len().is_multiple_of(2) {
+            &self.arena_a
+        } else {
+            &self.arena_b
+        };
+        &slab[item * stride..][..self.model.output_shape().len()]
+    }
+
+    /// The core: every decision of the chunk is staged (inject → check)
+    /// in index order, then the chunk runs its layer pass (execute →
+    /// detect), then each decision's events and injections are reported.
+    /// A wrong-sized input fails the chunk before any decision runs.
+    fn run_chunk<I: AsRef<[f32]>>(&mut self, start: u64, inputs: &[I]) -> Result<(), NnError> {
+        let expected = self.model.input_shape();
+        if let Some(bad) = inputs.iter().find(|x| x.as_ref().len() != expected.len()) {
+            return Err(NnError::InputShape {
+                expected,
+                actual: bad.as_ref().len(),
+            });
+        }
+        let n = inputs.len();
+        reserve_arenas(
+            &mut self.arena_a,
+            &mut self.arena_b,
+            n * self.model.max_activation_len(),
+        );
+        if self.chunk.len() < n {
+            self.chunk.resize_with(n, Decision::default);
+        }
+        self.live = n;
+        self.flushed = 0;
+        self.staged = 0;
+        for (item, (index, input)) in (start..).zip(inputs).enumerate() {
+            self.stage(item, index, input.as_ref())?;
+            self.staged = item + 1;
+        }
+        self.flush()?;
+
+        for item in 0..n {
+            // Without a guard, still refuse to stay silent on a non-finite
+            // final activation.
+            if self.guard.is_none() {
+                if let Some(index) = self.output(item).iter().position(|v| !v.is_finite()) {
+                    self.chunk[item]
+                        .events
+                        .push(HealthEvent::NonFiniteActivation {
+                            layer: self.model.len() - 1,
+                            index,
+                        });
+                }
+            }
+            let decision = &self.chunk[item];
+            self.events_seen += decision.events.len() as u64;
+            if let Some(sink) = &self.sink {
+                sink.extend(&decision.events);
+            }
+            if let Some(log) = &self.log {
+                for &injection in &decision.injections {
+                    log.push(injection);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Stages decision `index` as item `item` of the chunk: copies its
+    /// input into the arena, applies the input fault, checks finiteness,
+    /// and runs its catch-up and scheduled CRC check(s) — everything the
+    /// layer pass must come after.
+    fn stage(&mut self, item: usize, index: u64, input: &[f32]) -> Result<(), NnError> {
+        let stride = self.model.max_activation_len();
+        let x = &mut self.arena_a[item * stride..item * stride + input.len()];
+        x.copy_from_slice(input);
+        let decision = &mut self.chunk[item];
+        decision.events.clear();
+        decision.injections.clear();
 
         // One fault stream per decision, derived from (plan seed, index):
-        // the sequence of draws below is fixed, so pooled and sequential
+        // the sequence of draws is fixed, so pooled and sequential
         // replays of the same decision are identical.
-        let mut fault_rng = self.plan.map(|p| p.decision_rng(index));
-        if let (Some(plan), Some(rng)) = (self.plan, fault_rng.as_mut()) {
-            if let Some(fault) = plan.input {
-                apply_input_fault(
-                    fault,
-                    &mut self.buf_a[..input.len()],
-                    rng,
-                    &mut self.injections,
-                );
-            }
+        decision.rng = self.plan.map(|p| p.decision_rng(index));
+        if let (Some(fault), Some(rng)) = (self.plan.and_then(|p| p.input), decision.rng.as_mut()) {
+            apply_input_fault(fault, x, rng, &mut decision.injections);
         }
         // Branch-free finiteness reduction: the all-finite common case
         // auto-vectorizes; the offending index is located only once a
         // fault is known to exist.
         let mut all_finite = true;
-        for &v in &self.buf_a[..input.len()] {
+        for &v in x.iter() {
             all_finite &= v.is_finite();
         }
         if !all_finite {
-            if let Some(i) = self.buf_a[..input.len()]
-                .iter()
-                .position(|v| !v.is_finite())
-            {
-                self.events.push(HealthEvent::NonFiniteInput { index: i });
+            if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+                decision
+                    .events
+                    .push(HealthEvent::NonFiniteInput { index: i });
             }
         }
 
@@ -959,21 +1056,17 @@ impl HardenedEngine {
             // scheduled checks in `[synced_to, index)` would have applied
             // — a pooled replica may be served a non-contiguous index
             // stream, and its weights must match the sequential reference
-            // *before* the layer loop reads them. Sequentially,
+            // *before* the layer pass reads them. Within a chunk,
             // `synced_to == index` and this is a no-op.
             if self.config.repair.is_some() {
-                self.catch_up(index);
+                self.catch_up(index)?;
             }
             if index.is_multiple_of(self.config.crc_cadence) {
                 // The staleness bound is Some whenever we get here
                 // (cadence and golden are both non-zero).
                 let staleness = self.staleness_bound().unwrap_or(0);
-                match self.config.crc_strategy {
-                    CrcStrategy::Full => {
-                        for gi in 0..self.golden.len() {
-                            self.check_slot(gi, staleness);
-                        }
-                    }
+                let checked = match self.config.crc_strategy {
+                    CrcStrategy::Full => 0..self.golden.len(),
                     CrcStrategy::Rotating => {
                         // Cursor derived from the global decision index,
                         // never from engine-local state: pooled replicas
@@ -981,75 +1074,60 @@ impl HardenedEngine {
                         // layer.
                         let tick = index / self.config.crc_cadence;
                         let slot = (tick % self.golden.len() as u64) as usize;
-                        self.check_slot(slot, staleness);
+                        slot..slot + 1
+                    }
+                };
+                for gi in checked {
+                    if let Some(event) = self.check_slot(gi, staleness)? {
+                        self.chunk[item].events.push(event);
                     }
                 }
             }
             self.synced_to = self.synced_to.max(index + 1);
         }
+        Ok(())
+    }
 
+    /// Runs the layer pass for the staged decisions not yet through it,
+    /// injecting each one's activation faults and running its guard after
+    /// every layer.
+    fn flush(&mut self) -> Result<(), NnError> {
+        let (from, to) = (self.flushed, self.staged);
+        if from == to {
+            return Ok(());
+        }
+        let stride = self.model.max_activation_len();
         let activation_fault = self.plan.and_then(|p| p.activation);
-        let mut cur_shape = self.model.input_shape();
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers().iter().enumerate() {
-            let out_shape = self
-                .model
-                .layer_output_shape(i)
-                .expect("layer index in range");
-            let (src, dst) = if cur_in_a {
-                (&self.buf_a, &mut self.buf_b)
-            } else {
-                (&self.buf_b, &mut self.buf_a)
-            };
-            let dst = &mut dst[..out_shape.len()];
-            run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
-            if let (Some(fault), Some(rng)) = (activation_fault, fault_rng.as_mut()) {
-                if rng.chance(fault.p) {
-                    let element = rng.below_usize(dst.len());
-                    let mut bits = dst[element].to_bits();
-                    for b in rng.sample_indices(32, fault.bits as usize) {
-                        bits ^= 1u32 << b;
+        let guard = self.guard.as_ref();
+        let decisions = &mut self.chunk[from..to];
+        run_layers(
+            &self.model,
+            &mut self.arena_a[from * stride..to * stride],
+            &mut self.arena_b[from * stride..to * stride],
+            to - from,
+            |layer, item, activation| {
+                let decision = &mut decisions[item];
+                if let (Some(fault), Some(rng)) = (activation_fault, decision.rng.as_mut()) {
+                    if rng.chance(fault.p) {
+                        let element = rng.below_usize(activation.len());
+                        let mut bits = activation[element].to_bits();
+                        for b in rng.sample_indices(32, fault.bits as usize) {
+                            bits ^= 1u32 << b;
+                        }
+                        activation[element] = f32::from_bits(bits);
+                        decision.injections.push(Injection::ActivationFlip {
+                            layer,
+                            index: element,
+                        });
                     }
-                    dst[element] = f32::from_bits(bits);
-                    self.injections.push(Injection::ActivationFlip {
-                        layer: i,
-                        index: element,
-                    });
                 }
-            }
-            if let Some(guard) = &self.guard {
-                guard.check(i, dst, &mut self.events);
-            }
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
-
-        // Without a guard, still refuse to stay silent on a non-finite
-        // final activation.
-        if self.guard.is_none() {
-            let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-            if let Some((index, _)) = out[..cur_shape.len()]
-                .iter()
-                .enumerate()
-                .find(|(_, v)| !v.is_finite())
-            {
-                self.events.push(HealthEvent::NonFiniteActivation {
-                    layer: self.model.len() - 1,
-                    index,
-                });
-            }
-        }
-
-        self.events_seen += self.events.len() as u64;
-        if let Some(sink) = &self.sink {
-            sink.extend(&self.events);
-        }
-        if let Some(log) = &self.log {
-            for &injection in &self.injections {
-                log.push(injection);
-            }
-        }
-        Ok((cur_shape.len(), cur_in_a))
+                if let Some(guard) = guard {
+                    guard.check(layer, activation, &mut decision.events);
+                }
+            },
+        )?;
+        self.flushed = to;
+        Ok(())
     }
 }
 
@@ -1192,15 +1270,7 @@ impl HardenedPool {
         let out = self
             .workers
             .dispatch(base, inputs, |engine, start, chunk, out| {
-                for (index, input) in (start..).zip(chunk) {
-                    let classification = engine.classify_indexed(index, input)?;
-                    out.push(CheckedClassification {
-                        classification,
-                        events: engine.last_events().to_vec(),
-                        injections: engine.last_injections().to_vec(),
-                    });
-                }
-                Ok(())
+                engine.classify_chunk(start, chunk, out)
             })?;
         self.dispatched = base + inputs.len() as u64;
         let repaired = out
@@ -1209,7 +1279,7 @@ impl HardenedPool {
             .any(|e| matches!(e, HealthEvent::CorrectedFault { .. }));
         if repaired {
             for worker in self.workers.replicas_mut() {
-                worker.settle(self.dispatched);
+                worker.settle(self.dispatched)?;
             }
         }
         Ok(out)
@@ -1945,6 +2015,71 @@ mod tests {
                 got.extend(pool.classify_batch(&inputs[8..]).unwrap());
                 assert_eq!(got, reference, "{strategy:?}, {workers} workers diverged");
             }
+        }
+    }
+
+    #[test]
+    fn rotating_repair_mid_chunk_flushes_earlier_items() {
+        // Rotating, cadence 1, two parametric layers: decision 8 checks
+        // slot 0 (clean), decision 9 checks slot 1 and repairs a strike
+        // that landed at the batch boundary before decision 8. For every
+        // worker count the repairing check sits at item k > 0 of its
+        // chunk ({8..16}, {8..12}, {8, 9}), so decision 8 must still run
+        // on the struck weights — the layer pass it shares with decision
+        // 9 has to be flushed before the repair.
+        let config = HardenConfig {
+            crc_strategy: CrcStrategy::Rotating,
+            repair: Some(EccConfig::default()),
+            ..HardenConfig::default()
+        };
+        let mut engine = HardenedEngine::new(model(33), config).unwrap();
+        engine.calibrate(&calibration()).unwrap();
+        engine
+            .set_plan(FaultPlan {
+                seed: 17,
+                input: Some(InputFault::Noise { sigma: 0.2, p: 0.5 }),
+                activation: Some(ActivationFault { p: 0.3, bits: 1 }),
+            })
+            .unwrap();
+        let inputs = calibration();
+        let strike_layer = engine.golden_checksums()[1].0;
+
+        let mut reference = Vec::new();
+        let mut seq = engine.clone();
+        for (i, input) in inputs.iter().enumerate() {
+            if i == 8 {
+                // An exponent bit, so decision 8's output visibly moves.
+                flip_weight(&mut seq, strike_layer, 0, 30);
+            }
+            let classification = seq.classify_indexed(i as u64, input).unwrap();
+            reference.push(CheckedClassification {
+                classification,
+                events: seq.last_events().to_vec(),
+                injections: seq.last_injections().to_vec(),
+            });
+        }
+        assert!(
+            matches!(
+                reference[9].events[..],
+                [HealthEvent::CorrectedFault { .. }]
+            ),
+            "decision 9 repairs: {:?}",
+            reference[9].events
+        );
+        let pristine = engine.clone().classify_indexed(8, &inputs[8]).unwrap();
+        assert_ne!(
+            reference[8].classification, pristine,
+            "decision 8 must see the struck weights"
+        );
+
+        for workers in [1, 2, 4] {
+            let mut pool = HardenedPool::new(&engine, workers).unwrap();
+            let mut got = pool.classify_batch(&inputs[..8]).unwrap();
+            for replica in pool.engines_mut() {
+                flip_weight(replica, strike_layer, 0, 30);
+            }
+            got.extend(pool.classify_batch(&inputs[8..]).unwrap());
+            assert_eq!(got, reference, "{workers} workers diverged");
         }
     }
 

@@ -43,9 +43,10 @@ use crate::quant::{QEngine, QModel};
 const LANE_STACK_BYTES: usize = 128 * 1024;
 
 /// How long the caller spins on a helper's reply before parking. Balanced
-/// chunks finish within a thread wake-up of each other (a hardened item
-/// takes ~20 µs on a 2-vCPU x86-64 host), so the reply usually lands
-/// inside the spin and the caller is never parked and woken.
+/// chunks finish within a thread wake-up of each other (a seven-item
+/// hardened chunk takes ~30 µs, ~4.5 µs per item, on a 2-vCPU x86-64
+/// host), so the reply usually lands inside the spin and the caller is
+/// never parked and woken.
 const REPLY_SPIN: Duration = Duration::from_micros(50);
 
 /// Splits `n` items into `workers` contiguous chunk lengths that differ by

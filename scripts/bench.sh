@@ -6,7 +6,9 @@
 # and collects machine-readable medians.
 #
 # Usage:
-#   scripts/bench.sh           # full run, writes BENCH_pr10.json at repo root
+#   scripts/bench.sh OUT.json  # full run, writes OUT.json (relative
+#                              # paths are from the repo root), e.g. a new
+#                              # BENCH_prN.json beside the earlier records
 #   scripts/bench.sh --quick   # CI smoke: short budgets, writes
 #                              # target/BENCH_quick.json and validates that
 #                              # every expected bench emitted an entry
@@ -21,6 +23,10 @@ cd "$(dirname "$0")/.."
 QUICK=0
 if [[ "${1:-}" == "--quick" ]]; then
     QUICK=1
+elif [[ -z "${1:-}" ]]; then
+    echo "usage: scripts/bench.sh OUT.json | --quick" >&2
+    echo "       a full run needs an explicit output file" >&2
+    exit 2
 fi
 
 BENCHES=(e6_overhead e10_throughput e11_fault_campaign e12_serving e13_repair e14_fleet e15_soak e16_fused e17_falsify e18_fuzz)
@@ -29,11 +35,14 @@ if [[ "$QUICK" == 1 ]]; then
     OUT="target/BENCH_quick.json"
     export SAFEX_BENCH_QUICK=1
 else
-    OUT="BENCH_pr10.json"
+    OUT="$1"
 fi
 mkdir -p "$(dirname "$OUT")" 2>/dev/null || true
 rm -f "$OUT"
-export SAFEX_BENCH_JSON="$PWD/$OUT"
+case "$OUT" in
+    /*) export SAFEX_BENCH_JSON="$OUT" ;;
+    *) export SAFEX_BENCH_JSON="$PWD/$OUT" ;;
+esac
 
 for bench in "${BENCHES[@]}"; do
     echo "==> cargo bench -p safex-bench --bench $bench"
