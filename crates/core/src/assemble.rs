@@ -8,7 +8,7 @@
 
 use safex_nn::{Engine, Model, QEngine, QModel};
 use safex_patterns::channel::{ConstantChannel, ModelChannel, QuantChannel};
-use safex_patterns::pattern::{MonitorActuator, ParallelPolicy, SafetyBag, Simplex, TwoOutOfThree};
+use safex_patterns::pattern::{MonitorActuator, SafetyBag, Simplex, TwoOutOfThree};
 use safex_patterns::Sil;
 use safex_supervision::supervisor::{Mahalanobis, Supervisor};
 use safex_supervision::{observe, CalibratedMonitor};
@@ -31,11 +31,6 @@ pub struct AssemblySpec {
     pub confidence_floor: f32,
     /// Plausible input range for the safety-bag envelope.
     pub input_range: (f32, f32),
-    /// How patterns with redundant channels (2-out-of-3) evaluate them.
-    /// Defaults to [`ParallelPolicy::Sequential`], the
-    /// certification-friendly baseline; single-core SIL configurations
-    /// should leave it there.
-    pub parallel: ParallelPolicy,
 }
 
 impl Default for AssemblySpec {
@@ -46,7 +41,6 @@ impl Default for AssemblySpec {
             target_fpr: 0.05,
             confidence_floor: 0.5,
             input_range: (-4.0, 4.0),
-            parallel: ParallelPolicy::Sequential,
         }
     }
 }
@@ -192,8 +186,7 @@ pub fn for_sil(
                     QuantChannel::new("quant_a", QEngine::new(qmodel)),
                     ModelChannel::new("float_b", Engine::new(second.clone())),
                 )
-                .map_err(CoreError::Pattern)?
-                .with_policy(spec.parallel),
+                .map_err(CoreError::Pattern)?,
             )
         }
     };

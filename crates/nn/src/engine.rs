@@ -4,6 +4,7 @@ use safex_tensor::ops;
 use safex_tensor::{Shape, Tensor};
 
 use crate::error::NnError;
+use crate::harden::domain::Domain;
 use crate::layer::Layer;
 use crate::model::Model;
 
@@ -283,16 +284,22 @@ impl Engine {
 
 /// Grows both batch-major ping-pong arenas to at least `len` elements;
 /// they are reused across layers and across calls, never shrunk.
-pub(crate) fn reserve_arenas(arena_a: &mut Vec<f32>, arena_b: &mut Vec<f32>, len: usize) {
+pub(crate) fn reserve_arenas<T: Copy + Default>(
+    arena_a: &mut Vec<T>,
+    arena_b: &mut Vec<T>,
+    len: usize,
+) {
     if arena_a.len() < len {
-        arena_a.resize(len, 0.0);
-        arena_b.resize(len, 0.0);
+        arena_a.resize(len, T::default());
+        arena_b.resize(len, T::default());
     }
 }
 
 /// Runs `n` items, staged at `arena_a[item * stride..][..input_len]`
 /// (`stride = model.max_activation_len()`), through every layer in the
-/// batch-major ping-pong arena.
+/// batch-major ping-pong arena — the one layer loop behind
+/// [`Engine::infer_batch`], [`crate::QEngine::infer_batch`], guard
+/// calibration and the hardened engines, for f32 and Q16.16 models alike.
 ///
 /// Dense layers run the batched kernel (each weight row streamed once
 /// per batch); every other layer runs per item over its arena slot.
@@ -301,12 +308,12 @@ pub(crate) fn reserve_arenas(arena_a: &mut Vec<f32>, arena_b: &mut Vec<f32>, len
 /// injects activation faults and runs its guards from. Returns
 /// `(output_len, output_in_arena_a)`. Outputs are bit-identical to
 /// per-item [`Engine::infer`].
-pub(crate) fn run_layers(
-    model: &Model,
-    arena_a: &mut [f32],
-    arena_b: &mut [f32],
+pub(crate) fn run_layers<M: Domain>(
+    model: &M,
+    arena_a: &mut [M::Elem],
+    arena_b: &mut [M::Elem],
     n: usize,
-    mut after_layer: impl FnMut(usize, usize, &mut [f32]),
+    mut after_layer: impl FnMut(usize, usize, &mut [M::Elem]),
 ) -> Result<(usize, bool), NnError> {
     let stride = model.max_activation_len();
     let mut cur_shape = model.input_shape();
@@ -318,13 +325,9 @@ pub(crate) fn run_layers(
         } else {
             (&*arena_b, &mut *arena_a)
         };
-        if let Layer::Dense(d) = layer {
-            ops::dense_batch_into(
-                &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
-            )?;
-        } else {
+        if !M::run_layer_batch(layer, src, dst, n, stride)? {
             for item in 0..n {
-                run_layer(
+                M::run_layer(
                     layer,
                     &src[item * stride..item * stride + cur_shape.len()],
                     &mut dst[item * stride..item * stride + out_shape.len()],

@@ -1,4 +1,4 @@
-//! Runtime hardening: fault *detection* for the inference stack.
+//! Runtime hardening: fault *detection* and repair for the inference stack.
 //!
 //! [`crate::fault`] puts faults in; this module notices them. Two
 //! mechanisms, both cheap enough for the deployed hot path:
@@ -6,34 +6,44 @@
 //! * **Weight checksums** — a CRC-32 over every parametric layer's
 //!   buffers, captured at construction ("golden") and re-verified on a
 //!   configurable decision cadence. Any weight bit-flip makes the next
-//!   scheduled check fail.
+//!   scheduled check fail; with [`HardenConfig::repair`] an ECC sidecar
+//!   corrects a single flipped bit in place.
 //! * **Activation range guards** — per-layer `[lo, hi]` envelopes learned
 //!   from calibration data ([`ActivationGuard::calibrate`]) and widened by
 //!   a slack factor. Corrupted activations that leave the envelope, and
-//!   any non-finite value, are flagged on the decision they occur.
+//!   any non-finite (f32) or saturated (Q16.16) value, are flagged on the
+//!   decision they occur.
 //!
 //! Detections surface as typed [`HealthEvent`]s rather than silent wrong
 //! answers; a [`HealthSink`] carries them out of the engine to whoever
 //! owns the safety argument (in `safex-core`, the `HealthMonitor`).
 //!
-//! [`HardenedEngine`] mirrors [`Engine`]'s batch path (batch-major
-//! ping-pong arenas reused across calls, no hot-path allocation beyond
-//! event reporting) and [`HardenedPool`] mirrors
-//! [`crate::EnginePool`]. Per-decision work — injections from an attached
-//! [`FaultPlan`] and every detection — is keyed by a global *decision
-//! index*, so pooled execution is bit-identical to sequential execution
-//! for any worker count.
+//! There is one hardening state machine. [`HardenedEngine`],
+//! [`HardenedPool`] and [`ActivationGuard`] are generic over the model
+//! type ([`HardenDomain`]): [`Model`] (f32, the default) or
+//! [`crate::QModel`] (Q16.16, aliased as [`crate::HardenedQEngine`] and
+//! friends in [`crate::qharden`]). Both run batch-major chunks through
+//! the same layer loop as [`Engine::infer_batch`] (ping-pong arenas reused
+//! across calls, no hot-path allocation beyond event reporting), and the
+//! same catch-up/repair/settle steps keep pooled replicas in lockstep.
+//! Per-decision work — injections from an attached [`FaultPlan`] (f32
+//! only) and every detection — is keyed by a global *decision index*, so
+//! pooled execution is bit-identical to sequential execution for any
+//! worker count.
 //!
 //! [`Engine`]: crate::Engine
+//! [`Engine::infer_batch`]: crate::Engine::infer_batch
 
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use safex_tensor::{CrcAccumulator, DetRng};
+use safex_tensor::{ops, CrcAccumulator, DetRng, Shape};
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
-use crate::engine::{argmax, reserve_arenas, run_layers, Classification, Engine};
+use crate::engine::{argmax, reserve_arenas, run_layer, run_layers, Classification};
 use crate::error::NnError;
-use crate::fault::{apply_input_fault, FaultPlan, Injection, InjectionLog};
+use crate::fault::{apply_input_fault, FaultPlan, Injection, InjectionLog, InputFault};
 use crate::layer::Layer;
 use crate::model::Model;
 use crate::pool::Lanes;
@@ -197,27 +207,32 @@ impl HealthSink {
         Self::default()
     }
 
+    /// The locked buffer. Every critical section below is a single `Vec`
+    /// call, so a holder that panicked cannot have left the buffer half
+    /// updated: a poisoned lock still guards a valid `Vec`, and events
+    /// keep flowing instead of the panic spreading to every engine.
+    fn events(&self) -> MutexGuard<'_, Vec<HealthEvent>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one event.
     pub fn push(&self, event: HealthEvent) {
-        self.0.lock().expect("health sink poisoned").push(event);
+        self.events().push(event);
     }
 
     /// Appends a batch of events.
     pub fn extend(&self, events: &[HealthEvent]) {
-        self.0
-            .lock()
-            .expect("health sink poisoned")
-            .extend_from_slice(events);
+        self.events().extend_from_slice(events);
     }
 
     /// Removes and returns everything currently queued.
     pub fn drain(&self) -> Vec<HealthEvent> {
-        std::mem::take(&mut *self.0.lock().expect("health sink poisoned"))
+        std::mem::take(&mut *self.events())
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("health sink poisoned").len()
+        self.events().len()
     }
 
     /// Whether the sink is empty.
@@ -230,40 +245,283 @@ impl HealthSink {
 // unchanged for every existing caller.
 pub use safex_tensor::crc::{crc32, crc32_words};
 
-/// The parametric buffers checksums cover, if the layer has any.
-fn parametric_buffers(layer: &Layer) -> Option<(&[f32], &[f32])> {
-    match layer {
-        Layer::Dense(d) => Some((d.weights(), d.bias())),
-        Layer::Conv2d(c) => Some((c.weights(), c.bias())),
-        _ => None,
+/// What differs between the f32 and the Q16.16 model types, and nothing
+/// else: the hardening state machine is written once over this trait.
+pub(crate) mod domain {
+    use super::*;
+
+    /// A layer's weight and bias buffers.
+    pub type Params<'a, E> = (&'a [E], &'a [E]);
+    /// Mutable [`Params`].
+    pub type ParamsMut<'a, E> = (&'a mut [E], &'a mut [E]);
+
+    /// The per-model-type operations [`HardenedEngine`] and the layer
+    /// loop ([`run_layers`]) need. Crate-private; the public face is the
+    /// sealed [`HardenDomain`].
+    pub trait Domain: Clone + fmt::Debug + Send + Sync + 'static {
+        /// Activation and parameter element (`f32` or `Q16_16`).
+        type Elem: Copy + Default + PartialOrd + fmt::Debug + Send + Sync + 'static;
+        /// One layer of the model.
+        type Layer;
+        /// What a bad value is called in calibration errors.
+        const BAD: &'static str;
+        /// The `(lo, hi)` a calibration range starts from, before any
+        /// value has been observed.
+        const EMPTY_RANGE: (Self::Elem, Self::Elem);
+
+        /// The layers, in execution order.
+        fn layers(&self) -> &[Self::Layer];
+        /// Mutable layers (ECC write-back).
+        fn layers_mut(&mut self) -> &mut [Self::Layer];
+        /// The input shape.
+        fn input_shape(&self) -> Shape;
+        /// The final layer's output shape.
+        fn output_shape(&self) -> Shape;
+        /// The output shape of layer `index`.
+        fn layer_output_shape(&self, index: usize) -> Option<Shape>;
+        /// Largest activation (elements), the arena stride.
+        fn max_activation_len(&self) -> usize;
+
+        /// The weight and bias buffers checksums cover, if the layer has
+        /// any.
+        fn params(layer: &Self::Layer) -> Option<Params<'_, Self::Elem>>;
+        /// Mutable view of the buffers [`Domain::params`] covers.
+        fn params_mut(layer: &mut Self::Layer) -> Option<ParamsMut<'_, Self::Elem>>;
+        /// The 32-bit word CRC and ECC see for one element.
+        fn to_word(value: Self::Elem) -> u32;
+        /// Inverse of [`Domain::to_word`].
+        fn from_word(word: u32) -> Self::Elem;
+        /// Feeds `values` to a CRC accumulator as words.
+        fn crc_update(acc: &mut CrcAccumulator, values: &[Self::Elem]);
+
+        /// Executes one layer for one item from `src` into `dst`.
+        ///
+        /// # Errors
+        ///
+        /// Propagates kernel errors.
+        fn run_layer(
+            layer: &Self::Layer,
+            src: &[Self::Elem],
+            dst: &mut [Self::Elem],
+            in_shape: &Shape,
+        ) -> Result<(), NnError>;
+        /// Runs `layer` over `n` items at `stride` in one batched kernel
+        /// call when it has one (dense); `Ok(false)` asks the caller to
+        /// run it per item.
+        ///
+        /// # Errors
+        ///
+        /// Propagates kernel errors.
+        fn run_layer_batch(
+            layer: &Self::Layer,
+            src: &[Self::Elem],
+            dst: &mut [Self::Elem],
+            n: usize,
+            stride: usize,
+        ) -> Result<bool, NnError>;
+
+        /// Whether an input element is usable (f32: finite; Q16.16 has no
+        /// input check).
+        fn input_ok(value: Self::Elem) -> bool;
+        /// Whether an activation is bad regardless of any envelope
+        /// (f32: non-finite; Q16.16: saturated).
+        fn is_bad(value: Self::Elem) -> bool;
+        /// The event a bad activation raises.
+        fn bad_event(layer: usize, index: usize) -> HealthEvent;
+        /// Extends a calibration range by one observed value.
+        fn observe(range: &mut (Self::Elem, Self::Elem), value: Self::Elem);
+        /// Widens an observed range by `slack × span` on both sides.
+        fn widen(range: (Self::Elem, Self::Elem), slack: f32) -> (Self::Elem, Self::Elem);
+        /// One element as f32 (for [`HealthEvent::ActivationOutOfRange`]).
+        fn to_f32(value: Self::Elem) -> f32;
+        /// An f32 input in this domain (Q16.16 quantises; f32 borrows).
+        fn from_f32(input: &[f32]) -> Cow<'_, [Self::Elem]>;
+        /// Argmax over a final activation, ties toward the lower index.
+        fn argmax(out: &[Self::Elem]) -> Classification;
+        /// Applies a [`FaultPlan`] input fault. Plans attach only to f32
+        /// engines ([`HardenedEngine::set_plan`]).
+        fn apply_input_fault(
+            fault: InputFault,
+            input: &mut [Self::Elem],
+            rng: &mut DetRng,
+            injections: &mut Vec<Injection>,
+        );
     }
 }
 
-/// Mutable view of the buffers [`parametric_buffers`] covers (repair
-/// write-back path).
-fn parametric_buffers_mut(layer: &mut Layer) -> Option<(&mut [f32], &mut [f32])> {
-    match layer {
-        Layer::Dense(d) => Some((&mut d.weights, &mut d.bias)),
-        Layer::Conv2d(c) => Some((&mut c.weights, &mut c.bias)),
-        _ => None,
+use domain::Domain;
+
+/// A model type a [`HardenedEngine`] can protect: [`Model`] (f32) or
+/// [`crate::QModel`] (Q16.16).
+///
+/// Sealed: the operations the engine needs from a model — the parameter
+/// words CRC and ECC cover, the layer kernels, the bad-value test — are
+/// crate-private, so no other type can implement it.
+pub trait HardenDomain: Domain {}
+
+impl HardenDomain for Model {}
+
+impl Domain for Model {
+    type Elem = f32;
+    type Layer = Layer;
+    const BAD: &'static str = "non-finite";
+    const EMPTY_RANGE: (f32, f32) = (f32::INFINITY, f32::NEG_INFINITY);
+
+    fn layers(&self) -> &[Layer] {
+        Model::layers(self)
     }
+    fn layers_mut(&mut self) -> &mut [Layer] {
+        Model::layers_mut(self)
+    }
+    fn input_shape(&self) -> Shape {
+        Model::input_shape(self)
+    }
+    fn output_shape(&self) -> Shape {
+        Model::output_shape(self)
+    }
+    fn layer_output_shape(&self, index: usize) -> Option<Shape> {
+        Model::layer_output_shape(self, index)
+    }
+    fn max_activation_len(&self) -> usize {
+        Model::max_activation_len(self)
+    }
+
+    fn params(layer: &Layer) -> Option<(&[f32], &[f32])> {
+        match layer {
+            Layer::Dense(d) => Some((&d.weights, &d.bias)),
+            Layer::Conv2d(c) => Some((&c.weights, &c.bias)),
+            _ => None,
+        }
+    }
+    fn params_mut(layer: &mut Layer) -> Option<(&mut [f32], &mut [f32])> {
+        match layer {
+            Layer::Dense(d) => Some((&mut d.weights, &mut d.bias)),
+            Layer::Conv2d(c) => Some((&mut c.weights, &mut c.bias)),
+            _ => None,
+        }
+    }
+    fn to_word(value: f32) -> u32 {
+        value.to_bits()
+    }
+    fn from_word(word: u32) -> f32 {
+        f32::from_bits(word)
+    }
+    fn crc_update(acc: &mut CrcAccumulator, values: &[f32]) {
+        acc.update_f32(values);
+    }
+
+    fn run_layer(
+        layer: &Layer,
+        src: &[f32],
+        dst: &mut [f32],
+        in_shape: &Shape,
+    ) -> Result<(), NnError> {
+        run_layer(layer, src, dst, in_shape)
+    }
+    fn run_layer_batch(
+        layer: &Layer,
+        src: &[f32],
+        dst: &mut [f32],
+        n: usize,
+        stride: usize,
+    ) -> Result<bool, NnError> {
+        let Layer::Dense(d) = layer else {
+            return Ok(false);
+        };
+        ops::dense_batch_into(
+            &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
+        )?;
+        Ok(true)
+    }
+
+    fn input_ok(value: f32) -> bool {
+        value.is_finite()
+    }
+    fn is_bad(value: f32) -> bool {
+        !value.is_finite()
+    }
+    fn bad_event(layer: usize, index: usize) -> HealthEvent {
+        HealthEvent::NonFiniteActivation { layer, index }
+    }
+    fn observe(range: &mut (f32, f32), value: f32) {
+        range.0 = range.0.min(value);
+        range.1 = range.1.max(value);
+    }
+    fn widen((lo, hi): (f32, f32), slack: f32) -> (f32, f32) {
+        let span = (hi - lo).max(1e-6);
+        (lo - slack * span, hi + slack * span)
+    }
+    fn to_f32(value: f32) -> f32 {
+        value
+    }
+    fn from_f32(input: &[f32]) -> Cow<'_, [f32]> {
+        Cow::Borrowed(input)
+    }
+    fn argmax(out: &[f32]) -> Classification {
+        argmax(out)
+    }
+    fn apply_input_fault(
+        fault: InputFault,
+        input: &mut [f32],
+        rng: &mut DetRng,
+        injections: &mut Vec<Injection>,
+    ) {
+        apply_input_fault(fault, input, rng, injections);
+    }
+}
+
+/// Weight and bias buffers of golden layer `layer`.
+///
+/// Golden entries are built by [`checksums`] from exactly the layers
+/// whose [`Domain::params`] is `Some`, and nothing changes a model's layer
+/// list, so the lookup cannot miss. Should it ever, the empty view fails
+/// the layer's CRC and escalates instead of panicking.
+fn golden_params<M: Domain>(model: &M, layer: usize) -> (&[M::Elem], &[M::Elem]) {
+    let params = M::params(&model.layers()[layer]);
+    debug_assert!(params.is_some(), "golden entries index parametric layers");
+    params.unwrap_or((&[], &[]))
+}
+
+/// The concatenated weight+bias word stream CRC and ECC cover.
+fn golden_words<M: Domain>(model: &M, layer: usize) -> Vec<u32> {
+    let (weights, bias) = golden_params(model, layer);
+    weights.iter().chain(bias).map(|&v| M::to_word(v)).collect()
 }
 
 /// Encodes one ECC sidecar per golden (checksummed) layer, over the same
 /// concatenated weight+bias word stream the CRC covers.
-fn encode_sidecars(
-    model: &Model,
+fn encode_sidecars<M: Domain>(
+    model: &M,
     golden: &[(usize, u32)],
     config: EccConfig,
 ) -> Result<Vec<EccCode>, NnError> {
     golden
         .iter()
-        .map(|&(layer, _)| {
-            let (weights, bias) = parametric_buffers(&model.layers()[layer])
-                .expect("golden entries index parametric layers");
-            let words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
-            EccCode::encode(&words, config)
-        })
+        .map(|&(layer, _)| EccCode::encode(&golden_words(model, layer), config))
+        .collect()
+}
+
+/// CRC-32 of a weight and bias view, bit-identical to `crc32_words`
+/// over the concatenated word stream.
+fn params_crc<M: Domain>((weights, bias): (&[M::Elem], &[M::Elem])) -> u32 {
+    let mut acc = CrcAccumulator::new();
+    M::crc_update(&mut acc, weights);
+    M::crc_update(&mut acc, bias);
+    acc.finish()
+}
+
+/// CRC-32 of one layer's parameters (`None` for non-parametric layers).
+pub(crate) fn checksum<M: Domain>(layer: &M::Layer) -> Option<u32> {
+    M::params(layer).map(params_crc::<M>)
+}
+
+/// CRC-32 of every parametric layer: `(layer index, crc)` pairs.
+pub(crate) fn checksums<M: Domain>(model: &M) -> Vec<(usize, u32)> {
+    model
+        .layers()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, layer)| checksum::<M>(layer).map(|crc| (i, crc)))
         .collect()
 }
 
@@ -273,12 +531,7 @@ fn encode_sidecars(
 /// bias buffers instead of a chained per-word iterator; the value is
 /// bit-identical to `crc32_words` over the concatenated word stream.
 pub fn layer_checksum(layer: &Layer) -> Option<u32> {
-    parametric_buffers(layer).map(|(weights, bias)| {
-        let mut acc = CrcAccumulator::new();
-        acc.update_f32(weights);
-        acc.update_f32(bias);
-        acc.finish()
-    })
+    checksum::<Model>(layer)
 }
 
 /// CRC-32 of every parametric layer: `(layer index, crc)` pairs.
@@ -288,32 +541,32 @@ pub fn layer_checksum(layer: &Layer) -> Option<u32> {
 /// (execution reads its precomputed scale/shift, which the injector never
 /// touches).
 pub fn layer_checksums(model: &Model) -> Vec<(usize, u32)> {
-    model
-        .layers()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, layer)| layer_checksum(layer).map(|crc| (i, crc)))
-        .collect()
+    checksums(model)
 }
 
-/// Per-layer activation envelopes learned from calibration data.
+/// Per-layer activation envelopes learned from calibration data, in the
+/// model's own element type (raw Q16.16 for [`crate::QActivationGuard`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActivationGuard {
+pub struct ActivationGuard<M: HardenDomain = Model> {
     /// `(lo, hi)` per layer, input excluded, already slack-widened.
-    ranges: Vec<(f32, f32)>,
+    ranges: Vec<(M::Elem, M::Elem)>,
 }
 
-impl ActivationGuard {
-    /// Learns envelopes by tracing the *clean* model over calibration
+impl<M: HardenDomain> ActivationGuard<M> {
+    /// Learns envelopes by running the *clean* model over calibration
     /// inputs and widening each layer's observed `[min, max]` by
-    /// `slack × span` on both sides.
+    /// `slack × span` on both sides (Q16.16: on the raw bit span,
+    /// saturating at the format limits).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Fault`] for an empty calibration set or an
-    /// invalid slack, and propagates inference errors on bad inputs.
-    pub fn calibrate<I: AsRef<[f32]>>(
-        model: &Model,
+    /// Returns [`NnError::Fault`] for an empty calibration set, an invalid
+    /// slack, or a calibration activation that is already bad (non-finite
+    /// or saturated: a model whose *clean* activations rail cannot be
+    /// guarded meaningfully), and propagates inference errors on bad
+    /// inputs.
+    pub fn calibrate<I: AsRef<[M::Elem]>>(
+        model: &M,
         inputs: &[I],
         slack: f32,
     ) -> Result<Self, NnError> {
@@ -325,62 +578,72 @@ impl ActivationGuard {
                 "guard slack must be finite and non-negative, got {slack}"
             )));
         }
-        let mut engine = Engine::new(model.clone());
-        let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); model.len()];
+        let expected = model.input_shape();
+        let stride = model.max_activation_len();
+        let (mut a, mut b) = (
+            vec![M::Elem::default(); stride],
+            vec![M::Elem::default(); stride],
+        );
+        let mut ranges = vec![M::EMPTY_RANGE; model.layers().len()];
         for input in inputs {
-            let traced = engine.infer_traced(input.as_ref())?;
-            for (range, act) in ranges.iter_mut().zip(&traced) {
-                for &v in act.as_slice() {
-                    if !v.is_finite() {
-                        return Err(NnError::Fault(
-                            "calibration produced a non-finite activation".into(),
-                        ));
-                    }
-                    range.0 = range.0.min(v);
-                    range.1 = range.1.max(v);
+            let input = input.as_ref();
+            if input.len() != expected.len() {
+                return Err(NnError::InputShape {
+                    expected,
+                    actual: input.len(),
+                });
+            }
+            a[..input.len()].copy_from_slice(input);
+            let mut bad = false;
+            run_layers(model, &mut a, &mut b, 1, |layer, _, activation| {
+                for &v in activation.iter() {
+                    bad |= M::is_bad(v);
+                    M::observe(&mut ranges[layer], v);
                 }
+            })?;
+            if bad {
+                return Err(NnError::Fault(format!(
+                    "calibration produced a {} activation",
+                    M::BAD
+                )));
             }
         }
-        for range in &mut ranges {
-            let span = (range.1 - range.0).max(1e-6);
-            range.0 -= slack * span;
-            range.1 += slack * span;
-        }
+        let ranges = ranges.into_iter().map(|r| M::widen(r, slack)).collect();
         Ok(ActivationGuard { ranges })
     }
 
     /// The widened `(lo, hi)` envelope per layer.
-    pub fn ranges(&self) -> &[(f32, f32)] {
+    pub fn ranges(&self) -> &[(M::Elem, M::Elem)] {
         &self.ranges
     }
 
     /// Checks one layer's activation, reporting at most one event (the
     /// first offending element) to bound per-decision event volume.
-    fn check(&self, layer: usize, activation: &[f32], events: &mut Vec<HealthEvent>) {
+    fn check(&self, layer: usize, activation: &[M::Elem], events: &mut Vec<HealthEvent>) {
         let (lo, hi) = self.ranges[layer];
         // Branch-free pass/fail reduction first (`&`, not `&&`, keeps
         // the clean common case free of per-element branches so it
         // auto-vectorizes); the offending element is located — and
-        // classified as non-finite vs out-of-range — only on failure.
+        // classified as bad vs out-of-range — only on failure.
         let mut ok = true;
         for &value in activation {
-            ok &= value.is_finite() & (value >= lo) & (value <= hi);
+            ok &= !M::is_bad(value) & (value >= lo) & (value <= hi);
         }
         if ok {
             return;
         }
         for (index, &value) in activation.iter().enumerate() {
-            if !value.is_finite() {
-                events.push(HealthEvent::NonFiniteActivation { layer, index });
+            if M::is_bad(value) {
+                events.push(M::bad_event(layer, index));
                 return;
             }
             if value < lo || value > hi {
                 events.push(HealthEvent::ActivationOutOfRange {
                     layer,
                     index,
-                    value,
-                    lo,
-                    hi,
+                    value: M::to_f32(value),
+                    lo: M::to_f32(lo),
+                    hi: M::to_f32(hi),
                 });
                 return;
             }
@@ -475,15 +738,16 @@ impl HardenConfig {
     }
 }
 
-/// An [`Engine`]-shaped executor with built-in fault injection and
-/// detection.
+/// An [`Engine`](crate::Engine)-shaped executor with built-in fault
+/// injection and detection, over an f32 [`Model`] (the default) or a
+/// Q16.16 [`crate::QModel`].
 ///
-/// Per decision it (1) applies the attached [`FaultPlan`], (2) verifies
-/// weight checksums on the configured cadence, and (3) runs the
-/// activation guard. Detections land in [`HardenedEngine::last_events`]
-/// and, when attached, a shared [`HealthSink`]; injections land in
-/// [`HardenedEngine::last_injections`] and an optional [`InjectionLog`]
-/// (campaign ground truth).
+/// Per decision it (1) applies the attached [`FaultPlan`] (f32 only),
+/// (2) verifies weight checksums on the configured cadence, and (3) runs
+/// the activation guard. Detections land in
+/// [`HardenedEngine::last_events`] and, when attached, a shared
+/// [`HealthSink`]; injections land in [`HardenedEngine::last_injections`]
+/// and an optional [`InjectionLog`] (campaign ground truth).
 ///
 /// Everything per-decision is keyed by a monotonically increasing decision
 /// index (or an explicit one via the `*_indexed` methods), making runs a
@@ -491,20 +755,21 @@ impl HardenConfig {
 ///
 /// Decisions run as batch-major *chunks* (the per-item API is a chunk of
 /// one; [`HardenedPool`] hands each replica its whole chunk). Each
-/// decision, in index order, draws its input fault, checks finiteness
-/// and runs its own scheduled CRC check(s); then the chunk runs one
-/// layer pass through the same batch-major arena as
-/// [`Engine::infer_batch`], with every item's activation-fault draws and
-/// guard checks after each layer. A check about to repair weights first
-/// flushes the earlier decisions' layer pass, so they compute on the
-/// pre-repair weights exactly as a per-item loop would.
+/// decision, in index order, draws its input fault, checks its input and
+/// runs its own scheduled CRC check(s); then the chunk runs one layer
+/// pass through the same batch-major arena as
+/// [`Engine::infer_batch`](crate::Engine::infer_batch), with every item's
+/// activation-fault draws and guard checks after each layer. A check
+/// about to repair weights first flushes the earlier decisions' layer
+/// pass, so they compute on the pre-repair weights exactly as a per-item
+/// loop would.
 #[derive(Debug, Clone)]
-pub struct HardenedEngine {
-    model: Model,
+pub struct HardenedEngine<M: HardenDomain = Model> {
+    model: M,
     /// Batch-major ping-pong arenas, `chunk × max_activation_len` each,
     /// grown on demand and reused across chunks.
-    arena_a: Vec<f32>,
-    arena_b: Vec<f32>,
+    arena_a: Vec<M::Elem>,
+    arena_b: Vec<M::Elem>,
     /// Per-decision state of the most recent chunk; only the first
     /// `live` entries belong to it (the rest keep their allocations).
     chunk: Vec<Decision>,
@@ -516,7 +781,7 @@ pub struct HardenedEngine {
     golden: Vec<(usize, u32)>,
     sidecars: Vec<EccCode>,
     config: HardenConfig,
-    guard: Option<ActivationGuard>,
+    pub(crate) guard: Option<ActivationGuard<M>>,
     plan: Option<FaultPlan>,
     sink: Option<HealthSink>,
     log: Option<InjectionLog>,
@@ -542,16 +807,31 @@ struct Decision {
     injections: Vec<Injection>,
 }
 
-impl HardenedEngine {
+impl HardenedEngine<Model> {
+    /// Attaches a per-decision fault plan (validated). Plans drive the
+    /// f32 front end only; a Q16.16 engine's strike surface is its weight
+    /// store.
+    ///
+    /// # Errors
+    ///
+    /// See [`FaultPlan::validate`].
+    pub fn set_plan(&mut self, plan: FaultPlan) -> Result<(), NnError> {
+        plan.validate()?;
+        self.plan = Some(plan);
+        Ok(())
+    }
+}
+
+impl<M: HardenDomain> HardenedEngine<M> {
     /// Creates a hardened engine, capturing golden checksums from the
     /// (presumed pristine) model.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Fault`] on an invalid config.
-    pub fn new(model: Model, config: HardenConfig) -> Result<Self, NnError> {
+    pub fn new(model: M, config: HardenConfig) -> Result<Self, NnError> {
         config.validate()?;
-        let golden = layer_checksums(&model);
+        let golden = checksums(&model);
         let sidecars = match config.repair {
             Some(ecc) => encode_sidecars(&model, &golden, ecc)?,
             None => Vec::new(),
@@ -593,7 +873,7 @@ impl HardenedEngine {
     /// # Errors
     ///
     /// See [`ActivationGuard::calibrate`].
-    pub fn calibrate<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<(), NnError> {
+    pub fn calibrate<I: AsRef<[M::Elem]>>(&mut self, inputs: &[I]) -> Result<(), NnError> {
         self.guard = Some(ActivationGuard::calibrate(
             &self.model,
             inputs,
@@ -602,32 +882,34 @@ impl HardenedEngine {
         Ok(())
     }
 
+    /// [`HardenedEngine::calibrate`] over `f32` calibration data (a
+    /// Q16.16 engine quantises each input as
+    /// [`QEngine::infer_f32`](crate::QEngine::infer_f32) would).
+    ///
+    /// # Errors
+    ///
+    /// See [`ActivationGuard::calibrate`].
+    pub fn calibrate_f32<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<(), NnError> {
+        let inputs: Vec<Cow<'_, [M::Elem]>> =
+            inputs.iter().map(|x| M::from_f32(x.as_ref())).collect();
+        self.calibrate(&inputs)
+    }
+
     /// Installs a pre-calibrated guard.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Fault`] if the guard's layer count does not
     /// match the model.
-    pub fn set_guard(&mut self, guard: ActivationGuard) -> Result<(), NnError> {
-        if guard.ranges.len() != self.model.len() {
+    pub fn set_guard(&mut self, guard: ActivationGuard<M>) -> Result<(), NnError> {
+        if guard.ranges.len() != self.model.layers().len() {
             return Err(NnError::Fault(format!(
                 "guard covers {} layers but model has {}",
                 guard.ranges.len(),
-                self.model.len()
+                self.model.layers().len()
             )));
         }
         self.guard = Some(guard);
-        Ok(())
-    }
-
-    /// Attaches a per-decision fault plan (validated).
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultPlan::validate`].
-    pub fn set_plan(&mut self, plan: FaultPlan) -> Result<(), NnError> {
-        plan.validate()?;
-        self.plan = Some(plan);
         Ok(())
     }
 
@@ -648,7 +930,7 @@ impl HardenedEngine {
     }
 
     /// The wrapped model.
-    pub fn model(&self) -> &Model {
+    pub fn model(&self) -> &M {
         &self.model
     }
 
@@ -656,14 +938,14 @@ impl HardenedEngine {
     /// deliberately do *not* follow: a mutation here is exactly what the
     /// checksum verification exists to catch. After a legitimate model
     /// update call [`HardenedEngine::rebaseline`].
-    pub fn model_mut(&mut self) -> &mut Model {
+    pub fn model_mut(&mut self) -> &mut M {
         &mut self.model
     }
 
     /// Re-captures golden checksums (and, when repair is enabled, ECC
     /// sidecars) from the current parameters.
     pub fn rebaseline(&mut self) {
-        self.golden = layer_checksums(&self.model);
+        self.golden = checksums(&self.model);
         if let Some(ecc) = self.config.repair {
             self.sidecars = encode_sidecars(&self.model, &self.golden, ecc)
                 .expect("ecc config was validated at construction");
@@ -736,14 +1018,16 @@ impl HardenedEngine {
         Ok(())
     }
 
+    /// CRC-32 of golden slot `gi`'s parameters as they are now.
+    fn slot_checksum(&self, gi: usize) -> u32 {
+        params_crc::<M>(golden_params(&self.model, self.golden[gi].0))
+    }
+
     /// Repairs golden slot `gi` if its CRC mismatches, without reporting:
     /// the replica that owns the scheduled check emits the event; this is
     /// only weight-state reconciliation.
     fn silent_repair(&mut self, gi: usize) -> Result<(), NnError> {
-        let (layer, expected) = self.golden[gi];
-        let actual = layer_checksum(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
-        if expected != actual {
+        if self.slot_checksum(gi) != self.golden[gi].1 {
             self.attempt_repair(gi)?;
         }
         Ok(())
@@ -754,8 +1038,7 @@ impl HardenedEngine {
     /// Returns the event the check raises, if any.
     fn check_slot(&mut self, gi: usize, staleness: u64) -> Result<Option<HealthEvent>, NnError> {
         let (layer, expected) = self.golden[gi];
-        let actual = layer_checksum(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
+        let actual = self.slot_checksum(gi);
         if expected == actual {
             return Ok(None);
         }
@@ -790,31 +1073,26 @@ impl HardenedEngine {
     /// loop ran them before this check.
     fn attempt_repair(&mut self, gi: usize) -> Result<Option<(usize, u32)>, NnError> {
         let (layer, expected) = self.golden[gi];
-        let sidecar = &self.sidecars[gi];
-        let (weights, bias) = parametric_buffers(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
-        let n_weights = weights.len();
-        let mut words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
-        match sidecar.repair(&mut words) {
-            RepairOutcome::Corrected { word, bit } => {
-                let mut crc = CrcAccumulator::new();
-                crc.update_words(&words);
-                if crc.finish() != expected {
-                    return Ok(None);
-                }
-                self.flush()?;
-                let repaired = f32::from_bits(words[word]);
-                let (weights, bias) = parametric_buffers_mut(&mut self.model.layers_mut()[layer])
-                    .expect("golden entries index parametric layers");
-                if word < n_weights {
-                    weights[word] = repaired;
-                } else {
-                    bias[word - n_weights] = repaired;
-                }
-                Ok(Some((word, bit)))
-            }
-            RepairOutcome::Clean | RepairOutcome::Uncorrectable => Ok(None),
+        let mut words = golden_words(&self.model, layer);
+        let RepairOutcome::Corrected { word, bit } = self.sidecars[gi].repair(&mut words) else {
+            return Ok(None);
+        };
+        let mut crc = CrcAccumulator::new();
+        crc.update_words(&words);
+        if crc.finish() != expected {
+            return Ok(None);
         }
+        self.flush()?;
+        let repaired = M::from_word(words[word]);
+        if let Some((weights, bias)) = M::params_mut(&mut self.model.layers_mut()[layer]) {
+            let n_weights = weights.len();
+            if word < n_weights {
+                weights[word] = repaired;
+            } else {
+                bias[word - n_weights] = repaired;
+            }
+        }
+        Ok(Some((word, bit)))
     }
 
     /// Golden `(layer, crc)` pairs currently enforced.
@@ -838,23 +1116,18 @@ impl HardenedEngine {
     /// sidecar parity disagrees.
     pub fn verify_weights(&self) -> Result<(), NnError> {
         for (gi, &(layer, expected)) in self.golden.iter().enumerate() {
-            let layer_params = &self.model.layers()[layer];
-            let actual =
-                layer_checksum(layer_params).expect("golden entries index parametric layers");
+            let actual = self.slot_checksum(gi);
             if actual != expected {
                 return Err(NnError::Fault(format!(
                     "layer {layer} crc mismatch: golden {expected:#010x}, actual {actual:#010x}"
                 )));
             }
-            if self.config.repair.is_some() {
-                let (weights, bias) = parametric_buffers(layer_params)
-                    .expect("golden entries index parametric layers");
-                let words: Vec<u32> = weights.iter().chain(bias).map(|v| v.to_bits()).collect();
-                if !self.sidecars[gi].check(&words) {
-                    return Err(NnError::Fault(format!(
-                        "layer {layer} ecc sidecar parity disagrees with weights"
-                    )));
-                }
+            if self.config.repair.is_some()
+                && !self.sidecars[gi].check(&golden_words(&self.model, layer))
+            {
+                return Err(NnError::Fault(format!(
+                    "layer {layer} ecc sidecar parity disagrees with weights"
+                )));
             }
         }
         Ok(())
@@ -888,7 +1161,7 @@ impl HardenedEngine {
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn infer(&mut self, input: &[f32]) -> Result<&[f32], NnError> {
+    pub fn infer(&mut self, input: &[M::Elem]) -> Result<&[M::Elem], NnError> {
         let index = self.decisions;
         self.run_chunk(index, &[input])?;
         self.decisions += 1;
@@ -902,7 +1175,7 @@ impl HardenedEngine {
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn infer_indexed(&mut self, index: u64, input: &[f32]) -> Result<&[f32], NnError> {
+    pub fn infer_indexed(&mut self, index: u64, input: &[M::Elem]) -> Result<&[M::Elem], NnError> {
         self.run_chunk(index, &[input])?;
         Ok(self.output(0))
     }
@@ -912,8 +1185,19 @@ impl HardenedEngine {
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn classify(&mut self, input: &[f32]) -> Result<Classification, NnError> {
-        Ok(argmax(self.infer(input)?))
+    pub fn classify(&mut self, input: &[M::Elem]) -> Result<Classification, NnError> {
+        Ok(M::argmax(self.infer(input)?))
+    }
+
+    /// [`HardenedEngine::classify`] of an `f32` input — the front door
+    /// decision channels use (a Q16.16 engine quantises it first).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] on a wrong-sized input.
+    pub fn classify_f32(&mut self, input: &[f32]) -> Result<Classification, NnError> {
+        let input = M::from_f32(input);
+        self.classify(&input)
     }
 
     /// Classification at an explicit global index (pool path).
@@ -924,15 +1208,15 @@ impl HardenedEngine {
     pub fn classify_indexed(
         &mut self,
         index: u64,
-        input: &[f32],
+        input: &[M::Elem],
     ) -> Result<Classification, NnError> {
-        Ok(argmax(self.infer_indexed(index, input)?))
+        Ok(M::argmax(self.infer_indexed(index, input)?))
     }
 
     /// Classifies decisions `start..start + inputs.len()` as one chunk,
     /// pushing one [`CheckedClassification`] per item in order; equal to
     /// a [`HardenedEngine::classify_indexed`] loop over the same indices.
-    fn classify_chunk<I: AsRef<[f32]>>(
+    fn classify_chunk<I: AsRef<[M::Elem]>>(
         &mut self,
         start: u64,
         inputs: &[I],
@@ -941,7 +1225,7 @@ impl HardenedEngine {
         self.run_chunk(start, inputs)?;
         for (item, decision) in self.chunk[..self.live].iter().enumerate() {
             out.push(CheckedClassification {
-                classification: argmax(self.output(item)),
+                classification: M::argmax(self.output(item)),
                 events: decision.events.clone(),
                 injections: decision.injections.clone(),
             });
@@ -950,9 +1234,9 @@ impl HardenedEngine {
     }
 
     /// Final activation of item `item` of the most recent chunk.
-    fn output(&self, item: usize) -> &[f32] {
+    fn output(&self, item: usize) -> &[M::Elem] {
         let stride = self.model.max_activation_len();
-        let slab = if self.model.len().is_multiple_of(2) {
+        let slab = if self.model.layers().len().is_multiple_of(2) {
             &self.arena_a
         } else {
             &self.arena_b
@@ -964,7 +1248,7 @@ impl HardenedEngine {
     /// in index order, then the chunk runs its layer pass (execute →
     /// detect), then each decision's events and injections are reported.
     /// A wrong-sized input fails the chunk before any decision runs.
-    fn run_chunk<I: AsRef<[f32]>>(&mut self, start: u64, inputs: &[I]) -> Result<(), NnError> {
+    fn run_chunk<I: AsRef<[M::Elem]>>(&mut self, start: u64, inputs: &[I]) -> Result<(), NnError> {
         let expected = self.model.input_shape();
         if let Some(bad) = inputs.iter().find(|x| x.as_ref().len() != expected.len()) {
             return Err(NnError::InputShape {
@@ -991,16 +1275,12 @@ impl HardenedEngine {
         self.flush()?;
 
         for item in 0..n {
-            // Without a guard, still refuse to stay silent on a non-finite
-            // final activation.
+            // Without a guard, still refuse to stay silent on a bad
+            // (non-finite or saturated) final activation.
             if self.guard.is_none() {
-                if let Some(index) = self.output(item).iter().position(|v| !v.is_finite()) {
-                    self.chunk[item]
-                        .events
-                        .push(HealthEvent::NonFiniteActivation {
-                            layer: self.model.len() - 1,
-                            index,
-                        });
+                if let Some(index) = self.output(item).iter().position(|&v| M::is_bad(v)) {
+                    let layer = self.model.layers().len() - 1;
+                    self.chunk[item].events.push(M::bad_event(layer, index));
                 }
             }
             let decision = &self.chunk[item];
@@ -1018,10 +1298,10 @@ impl HardenedEngine {
     }
 
     /// Stages decision `index` as item `item` of the chunk: copies its
-    /// input into the arena, applies the input fault, checks finiteness,
+    /// input into the arena, applies the input fault, checks the input,
     /// and runs its catch-up and scheduled CRC check(s) — everything the
     /// layer pass must come after.
-    fn stage(&mut self, item: usize, index: u64, input: &[f32]) -> Result<(), NnError> {
+    fn stage(&mut self, item: usize, index: u64, input: &[M::Elem]) -> Result<(), NnError> {
         let stride = self.model.max_activation_len();
         let x = &mut self.arena_a[item * stride..item * stride + input.len()];
         x.copy_from_slice(input);
@@ -1034,17 +1314,17 @@ impl HardenedEngine {
         // replays of the same decision are identical.
         decision.rng = self.plan.map(|p| p.decision_rng(index));
         if let (Some(fault), Some(rng)) = (self.plan.and_then(|p| p.input), decision.rng.as_mut()) {
-            apply_input_fault(fault, x, rng, &mut decision.injections);
+            M::apply_input_fault(fault, x, rng, &mut decision.injections);
         }
-        // Branch-free finiteness reduction: the all-finite common case
+        // Branch-free input reduction: the all-usable common case
         // auto-vectorizes; the offending index is located only once a
         // fault is known to exist.
-        let mut all_finite = true;
+        let mut all_ok = true;
         for &v in x.iter() {
-            all_finite &= v.is_finite();
+            all_ok &= M::input_ok(v);
         }
-        if !all_finite {
-            if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+        if !all_ok {
+            if let Some(i) = x.iter().position(|&v| !M::input_ok(v)) {
                 decision
                     .events
                     .push(HealthEvent::NonFiniteInput { index: i });
@@ -1110,11 +1390,11 @@ impl HardenedEngine {
                 if let (Some(fault), Some(rng)) = (activation_fault, decision.rng.as_mut()) {
                     if rng.chance(fault.p) {
                         let element = rng.below_usize(activation.len());
-                        let mut bits = activation[element].to_bits();
+                        let mut bits = M::to_word(activation[element]);
                         for b in rng.sample_indices(32, fault.bits as usize) {
                             bits ^= 1u32 << b;
                         }
-                        activation[element] = f32::from_bits(bits);
+                        activation[element] = M::from_word(bits);
                         decision.injections.push(Injection::ActivationFlip {
                             layer,
                             index: element,
@@ -1139,7 +1419,8 @@ pub struct CheckedClassification {
     pub classification: Classification,
     /// Health events raised on this decision.
     pub events: Vec<HealthEvent>,
-    /// Faults actually injected on this decision (ground truth).
+    /// Faults actually injected on this decision (ground truth; always
+    /// empty for Q16.16, which takes no fault plan).
     pub injections: Vec<Injection>,
 }
 
@@ -1151,18 +1432,18 @@ pub struct CheckedClassification {
 /// equal to a sequential [`HardenedEngine::classify_indexed`] loop over
 /// the same global indices.
 #[derive(Debug, Clone)]
-pub struct HardenedPool {
-    workers: Lanes<HardenedEngine>,
+pub struct HardenedPool<M: HardenDomain = Model> {
+    workers: Lanes<HardenedEngine<M>>,
     dispatched: u64,
 }
 
-impl HardenedPool {
+impl<M: HardenDomain> HardenedPool<M> {
     /// Creates a pool of `workers` replicas of `engine`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
-    pub fn new(engine: &HardenedEngine, workers: usize) -> Result<Self, NnError> {
+    pub fn new(engine: &HardenedEngine<M>, workers: usize) -> Result<Self, NnError> {
         let workers = Lanes::new(workers, || {
             let mut replica = engine.clone();
             replica.detach_observers();
@@ -1183,7 +1464,7 @@ impl HardenedPool {
     /// weight corruption ([`crate::fault::apply_weight_flips`]) to all of
     /// them — replicas must stay byte-identical or batch output would
     /// depend on which replica serves which item.
-    pub fn engines_mut(&mut self) -> &mut [HardenedEngine] {
+    pub fn engines_mut(&mut self) -> &mut [HardenedEngine<M>] {
         self.workers.replicas_mut()
     }
 
@@ -1196,7 +1477,7 @@ impl HardenedPool {
     /// Read-only access to every replica (e.g. to inspect golden
     /// checksums without the mutable-borrow commitments of
     /// [`HardenedPool::engines_mut`]).
-    pub fn engines(&self) -> &[HardenedEngine] {
+    pub fn engines(&self) -> &[HardenedEngine<M>] {
         self.workers.replicas()
     }
 
@@ -1253,7 +1534,7 @@ impl HardenedPool {
     ///
     /// Returns [`NnError::InputShape`] if any input has the wrong element
     /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[f32]>>(
+    pub fn classify_batch<I: AsRef<[M::Elem]>>(
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<CheckedClassification>, NnError> {
@@ -1287,10 +1568,13 @@ impl HardenedPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::fault::{ActivationFault, FaultInjector, InputFault};
     use crate::model::ModelBuilder;
+    use crate::quant::{QEngine, QModel};
+    use safex_tensor::fixed::Q16_16;
     use safex_tensor::{DetRng, Shape};
 
     fn model(seed: u64) -> Model {
@@ -1374,66 +1658,6 @@ mod tests {
         assert_eq!(engine.golden_checksums().len(), 2);
         assert_eq!(engine.staleness_bound(), Some(8));
     }
-
-    /// Flips one weight bit in the given layer (deterministic strike for
-    /// rotation tests — no injector randomness).
-    fn flip_weight_bit(model: &mut Model, layer: usize) {
-        match &mut model.layers_mut()[layer] {
-            Layer::Dense(d) => d.weights[0] = f32::from_bits(d.weights[0].to_bits() ^ 1),
-            Layer::Conv2d(c) => c.weights[0] = f32::from_bits(c.weights[0].to_bits() ^ 1),
-            other => panic!("layer {layer} is not parametric: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rotating_crc_detects_within_staleness_bound_and_never_later() {
-        // Flip a weight bit in the *last* parametric layer — the worst
-        // case for the rotation — and assert detection within
-        // `parametric_layers × cadence` decisions of the flip, never
-        // later.
-        for cadence in [1u64, 3] {
-            let config = HardenConfig {
-                crc_cadence: cadence,
-                crc_strategy: CrcStrategy::Rotating,
-                ..HardenConfig::default()
-            };
-            let mut hardened = HardenedEngine::new(model(21), config).unwrap();
-            let layers = hardened.golden_checksums().len() as u64;
-            let bound = hardened.staleness_bound().unwrap();
-            assert_eq!(bound, layers * cadence);
-            let last_layer = hardened.golden_checksums().last().unwrap().0;
-            let input = [0.1, 0.2, 0.3, 0.4];
-
-            // A few clean decisions first, so the flip lands mid-rotation.
-            for _ in 0..3 {
-                hardened.infer(&input).unwrap();
-                assert!(hardened.last_events().is_empty());
-            }
-            let flip_at = hardened.decision_count();
-            flip_weight_bit(hardened.model_mut(), last_layer);
-
-            let mut detected_at = None;
-            for _ in 0..2 * bound {
-                hardened.infer(&input).unwrap();
-                let hit = hardened.last_events().iter().any(|e| {
-                    matches!(e, HealthEvent::ChecksumMismatch { layer, staleness, .. }
-                        if *layer == last_layer && *staleness == bound)
-                });
-                if hit {
-                    detected_at = Some(hardened.decision_count() - 1);
-                    break;
-                }
-            }
-            let detected_at =
-                detected_at.expect("one full rotation must reach the corrupted layer");
-            assert!(
-                detected_at - flip_at < bound,
-                "cadence {cadence}: flip at {flip_at} detected at {detected_at}, \
-                 bound {bound}"
-            );
-        }
-    }
-
     #[test]
     fn rotating_crc_covers_all_layers_in_one_cycle() {
         // With cadence 1 and L parametric layers, L consecutive decisions
@@ -1453,7 +1677,7 @@ mod tests {
         let input = [0.0; 4];
         hardened.infer(&input).unwrap();
         for &layer in &layers {
-            flip_weight_bit(hardened.model_mut(), layer);
+            flip(hardened.model_mut(), layer, 0, 0);
         }
         let mut flagged: Vec<usize> = Vec::new();
         for _ in 0..layers.len() {
@@ -1484,69 +1708,7 @@ mod tests {
                 activation: Some(ActivationFault { p: 0.2, bits: 2 }),
             })
             .unwrap();
-        let inputs = calibration();
-        let mut reference = Vec::new();
-        {
-            let mut seq = engine.clone();
-            for (i, input) in inputs.iter().enumerate() {
-                let classification = seq.classify_indexed(i as u64, input).unwrap();
-                reference.push(CheckedClassification {
-                    classification,
-                    events: seq.last_events().to_vec(),
-                    injections: seq.last_injections().to_vec(),
-                });
-            }
-        }
-        for workers in [1, 2, 4, 8] {
-            let mut pool = HardenedPool::new(&engine, workers).unwrap();
-            let got = pool.classify_batch(&inputs).unwrap();
-            assert_eq!(got, reference, "rotating CRC, {workers} workers diverged");
-        }
-    }
-
-    fn flip_weight(engine: &mut HardenedEngine, layer: usize, word: usize, bit: u32) {
-        if let Layer::Dense(d) = &mut engine.model_mut().layers_mut()[layer] {
-            let w = &mut d.weights_mut()[word];
-            *w = f32::from_bits(w.to_bits() ^ (1 << bit));
-        } else {
-            panic!("layer {layer} is not dense");
-        }
-    }
-
-    #[test]
-    fn full_repair_restores_pristine_output() {
-        // An exponent-bit flip moves the output, so matching the pristine
-        // engine proves the repair ran before the layer loop.
-        let config = HardenConfig {
-            repair: Some(EccConfig::default()),
-            ..HardenConfig::default()
-        };
-        let m = model(34);
-        let mut pristine = Engine::new(m.clone());
-        let mut hardened = HardenedEngine::new(m, config).unwrap();
-        let input = [0.1, -0.2, 0.3, -0.4];
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty());
-
-        flip_weight(&mut hardened, 2, 0, 30);
-        let expected = pristine.infer(&input).unwrap().to_vec();
-        let got = hardened.infer(&input).unwrap().to_vec();
-        assert_eq!(got, expected, "corrected decision must match pristine");
-        assert!(
-            matches!(
-                hardened.last_events(),
-                [HealthEvent::CorrectedFault {
-                    layer: 2,
-                    word: 0,
-                    bit: 30,
-                    staleness: 1
-                }]
-            ),
-            "events: {:?}",
-            hardened.last_events()
-        );
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty(), "the fault is gone");
+        assert_pool_matches_sequential(&engine, &calibration(), &[1, 2, 4, 8]);
     }
 
     #[test]
@@ -1559,7 +1721,7 @@ mod tests {
         assert_eq!(hardened.staleness_bound(), Some(4), "Full bound = cadence");
         let input = [0.0; 4];
         hardened.infer(&input).unwrap(); // index 0: verified, clean
-        flip_weight(&mut hardened, 2, 0, 3);
+        flip(hardened.model_mut(), 2, 0, 3);
         for index in 1..4 {
             hardened.infer(&input).unwrap();
             assert!(
@@ -1576,48 +1738,6 @@ mod tests {
         // cached staleness bound.
         hardened.rebaseline();
         assert_eq!(hardened.staleness_bound(), Some(4));
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty());
-    }
-
-    #[test]
-    fn clean_run_matches_engine_and_raises_nothing() {
-        let m = model(1);
-        let mut plain = Engine::new(m.clone());
-        let mut hardened = HardenedEngine::new(m, HardenConfig::default()).unwrap();
-        hardened.calibrate(&calibration()).unwrap();
-        for input in calibration() {
-            let expected = plain.infer(&input).unwrap().to_vec();
-            let got = hardened.infer(&input).unwrap();
-            assert_eq!(
-                got,
-                expected.as_slice(),
-                "hardening must not perturb output"
-            );
-            assert!(hardened.last_events().is_empty());
-        }
-        assert_eq!(hardened.event_count(), 0);
-        assert_eq!(hardened.decision_count(), 16);
-    }
-
-    #[test]
-    fn checksum_catches_weight_flip() {
-        let mut hardened = HardenedEngine::new(model(2), HardenConfig::default()).unwrap();
-        let input = [0.1, 0.2, 0.3, 0.4];
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty());
-        let flips = FaultInjector::new(5)
-            .flip_weight_bits(hardened.model_mut(), 1, 1)
-            .unwrap();
-        hardened.infer(&input).unwrap();
-        let events = hardened.last_events().to_vec();
-        assert_eq!(events.len(), 1);
-        match events[0] {
-            HealthEvent::ChecksumMismatch { layer, .. } => assert_eq!(layer, flips[0].layer),
-            other => panic!("expected checksum mismatch, got {other:?}"),
-        }
-        // After acknowledging the change the engine is clean again.
-        hardened.rebaseline();
         hardened.infer(&input).unwrap();
         assert!(hardened.last_events().is_empty());
     }
@@ -1754,37 +1874,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_sequential_for_any_worker_count() {
-        let mut engine = HardenedEngine::new(model(9), HardenConfig::default()).unwrap();
-        engine.calibrate(&calibration()).unwrap();
-        engine
-            .set_plan(FaultPlan {
-                seed: 13,
-                input: Some(InputFault::Noise { sigma: 0.2, p: 0.3 }),
-                activation: Some(ActivationFault { p: 0.2, bits: 2 }),
-            })
-            .unwrap();
-        let inputs = calibration();
-        let mut reference = Vec::new();
-        {
-            let mut seq = engine.clone();
-            for (i, input) in inputs.iter().enumerate() {
-                let classification = seq.classify_indexed(i as u64, input).unwrap();
-                reference.push(CheckedClassification {
-                    classification,
-                    events: seq.last_events().to_vec(),
-                    injections: seq.last_injections().to_vec(),
-                });
-            }
-        }
-        for workers in [1, 2, 4] {
-            let mut pool = HardenedPool::new(&engine, workers).unwrap();
-            let got = pool.classify_batch(&inputs).unwrap();
-            assert_eq!(got, reference, "worker count {workers} diverged");
-        }
-    }
-
-    #[test]
     fn pool_indices_continue_across_batches() {
         let mut engine = HardenedEngine::new(model(10), HardenConfig::default()).unwrap();
         engine
@@ -1806,47 +1895,6 @@ mod tests {
     }
 
     #[test]
-    fn ecc_repairs_single_bit_flip_and_keeps_serving() {
-        let config = HardenConfig {
-            repair: Some(EccConfig::default()),
-            ..HardenConfig::default()
-        };
-        let mut hardened = HardenedEngine::new(model(30), config).unwrap();
-        let mut pristine = Engine::new(model(30));
-        let input = [0.1, 0.2, 0.3, 0.4];
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty());
-
-        let last_layer = hardened.golden_checksums().last().unwrap().0;
-        flip_weight_bit(hardened.model_mut(), last_layer);
-        pristine.infer(&input).unwrap();
-        let expected = pristine.infer(&input).unwrap().to_vec();
-        let got = hardened.infer(&input).unwrap().to_vec();
-        // The repair runs at the scheduled check, *before* the layer loop
-        // reads the weights: the corrected decision already matches the
-        // pristine engine.
-        assert_eq!(got, expected, "corrected decision must match pristine");
-        assert!(
-            matches!(
-                hardened.last_events(),
-                [HealthEvent::CorrectedFault { layer, word: 0, bit: 0, .. }]
-                    if *layer == last_layer
-            ),
-            "events: {:?}",
-            hardened.last_events()
-        );
-        // The fault is gone — no lingering escalation.
-        hardened.infer(&input).unwrap();
-        assert!(hardened.last_events().is_empty());
-        // Interleaved parity at block 32 ≈ 6.25 % sidecar overhead.
-        let overhead = hardened.sidecar_overhead().unwrap();
-        assert!(
-            (0.05..0.10).contains(&overhead),
-            "unexpected overhead {overhead}"
-        );
-    }
-
-    #[test]
     fn verify_weights_is_a_pure_corruption_probe() {
         let config = HardenConfig {
             repair: Some(EccConfig::default()),
@@ -1855,7 +1903,7 @@ mod tests {
         let mut hardened = HardenedEngine::new(model(40), config).unwrap();
         assert!(hardened.verify_weights().is_ok());
         let layer = hardened.golden_checksums()[0].0;
-        flip_weight_bit(hardened.model_mut(), layer);
+        flip(hardened.model_mut(), layer, 0, 0);
         let err = hardened.verify_weights().unwrap_err();
         assert!(
             err.to_string().contains("crc mismatch"),
@@ -1904,7 +1952,7 @@ mod tests {
         // A uniform weight change across every replica (the swap path:
         // incoming weights land on all of them) re-goldens cleanly.
         for replica in pool.engines_mut() {
-            flip_weight_bit(replica.model_mut(), layer);
+            flip(replica.model_mut(), layer, 0, 0);
         }
         pool.regolden().unwrap();
         let after: Vec<(usize, u32)> = pool.engines()[0].golden_checksums().to_vec();
@@ -1914,107 +1962,10 @@ mod tests {
         }
         // A change on only one replica is exactly the divergence the
         // verify step exists to catch.
-        flip_weight_bit(pool.engines_mut()[1].model_mut(), layer);
+        flip(pool.engines_mut()[1].model_mut(), layer, 0, 0);
         match pool.regolden() {
             Err(NnError::Pool(msg)) => assert!(msg.contains("diverge"), "msg: {msg}"),
             other => panic!("divergent replicas must fail regolden, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ecc_leaves_double_flips_on_the_escalation_path() {
-        let config = HardenConfig {
-            repair: Some(EccConfig::default()),
-            ..HardenConfig::default()
-        };
-        let mut hardened = HardenedEngine::new(model(31), config).unwrap();
-        let input = [0.1, 0.2, 0.3, 0.4];
-        hardened.infer(&input).unwrap();
-        let layer = hardened.golden_checksums()[0].0;
-        // Two flips in distinct words of one layer: no single-flip
-        // signature exists, so ECC must refuse and the checksum path
-        // escalates exactly as without repair.
-        match &mut hardened.model_mut().layers_mut()[layer] {
-            Layer::Dense(d) => {
-                d.weights[0] = f32::from_bits(d.weights[0].to_bits() ^ 1);
-                d.weights[1] = f32::from_bits(d.weights[1].to_bits() ^ (1 << 7));
-            }
-            other => panic!("layer {layer} is not dense: {other:?}"),
-        }
-        let damaged: Vec<f32> = match &hardened.model().layers()[layer] {
-            Layer::Dense(d) => d.weights().to_vec(),
-            _ => unreachable!(),
-        };
-        hardened.infer(&input).unwrap();
-        assert!(
-            matches!(
-                hardened.last_events(),
-                [HealthEvent::ChecksumMismatch { layer: l, .. }] if *l == layer
-            ),
-            "events: {:?}",
-            hardened.last_events()
-        );
-        let after: Vec<f32> = match &hardened.model().layers()[layer] {
-            Layer::Dense(d) => d.weights().to_vec(),
-            _ => unreachable!(),
-        };
-        assert_eq!(
-            after.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            damaged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "uncorrectable damage must never be miscorrected"
-        );
-    }
-
-    #[test]
-    fn repair_pool_matches_sequential_under_boundary_strikes() {
-        // Repair mutates replica weight state mid-stream; the catch-up
-        // machinery must keep pooled output byte-identical to sequential
-        // for any worker count, for both CRC strategies, across a strike
-        // at a batch boundary.
-        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
-            let config = HardenConfig {
-                crc_cadence: 2,
-                crc_strategy: strategy,
-                repair: Some(EccConfig { block_words: 8 }),
-                ..HardenConfig::default()
-            };
-            let mut engine = HardenedEngine::new(model(32), config).unwrap();
-            engine.calibrate(&calibration()).unwrap();
-            let inputs = calibration();
-            let strike_layer = engine.golden_checksums().last().unwrap().0;
-
-            let mut reference = Vec::new();
-            {
-                let mut seq = engine.clone();
-                for (i, input) in inputs.iter().enumerate() {
-                    if i == 8 {
-                        flip_weight_bit(seq.model_mut(), strike_layer);
-                    }
-                    let classification = seq.classify_indexed(i as u64, input).unwrap();
-                    reference.push(CheckedClassification {
-                        classification,
-                        events: seq.last_events().to_vec(),
-                        injections: seq.last_injections().to_vec(),
-                    });
-                }
-            }
-            assert!(
-                reference
-                    .iter()
-                    .flat_map(|r| &r.events)
-                    .any(|e| matches!(e, HealthEvent::CorrectedFault { .. })),
-                "{strategy:?}: the strike must be corrected somewhere"
-            );
-
-            for workers in [1, 2, 4, 8] {
-                let mut pool = HardenedPool::new(&engine, workers).unwrap();
-                let mut got = pool.classify_batch(&inputs[..8]).unwrap();
-                for replica in pool.engines_mut() {
-                    flip_weight_bit(replica.model_mut(), strike_layer);
-                }
-                got.extend(pool.classify_batch(&inputs[8..]).unwrap());
-                assert_eq!(got, reference, "{strategy:?}, {workers} workers diverged");
-            }
         }
     }
 
@@ -2049,7 +2000,7 @@ mod tests {
         for (i, input) in inputs.iter().enumerate() {
             if i == 8 {
                 // An exponent bit, so decision 8's output visibly moves.
-                flip_weight(&mut seq, strike_layer, 0, 30);
+                flip(seq.model_mut(), strike_layer, 0, 30);
             }
             let classification = seq.classify_indexed(i as u64, input).unwrap();
             reference.push(CheckedClassification {
@@ -2076,51 +2027,398 @@ mod tests {
             let mut pool = HardenedPool::new(&engine, workers).unwrap();
             let mut got = pool.classify_batch(&inputs[..8]).unwrap();
             for replica in pool.engines_mut() {
-                flip_weight(replica, strike_layer, 0, 30);
+                flip(replica.model_mut(), strike_layer, 0, 30);
             }
             got.extend(pool.classify_batch(&inputs[8..]).unwrap());
             assert_eq!(got, reference, "{workers} workers diverged");
         }
     }
 
-    #[test]
-    fn bad_configs_rejected() {
-        assert!(HardenedEngine::new(
-            model(11),
-            HardenConfig {
-                crc_cadence: 1,
-                guard_slack: -1.0,
-                ..HardenConfig::default()
+    /// Per-model-type test scaffolding: the shared 4→8→3 demo model in
+    /// the domain, and the unhardened engine its outputs must match.
+    pub(crate) trait Fixture: HardenDomain {
+        fn build(model: Model) -> Self;
+        fn plain_infer(&self, input: &[Self::Elem]) -> Vec<Self::Elem>;
+    }
+
+    impl Fixture for Model {
+        fn build(model: Model) -> Self {
+            model
+        }
+        fn plain_infer(&self, input: &[f32]) -> Vec<f32> {
+            Engine::new(self.clone()).infer(input).unwrap().to_vec()
+        }
+    }
+
+    impl Fixture for QModel {
+        fn build(model: Model) -> Self {
+            QModel::quantize(&model).unwrap()
+        }
+        fn plain_infer(&self, input: &[Q16_16]) -> Vec<Q16_16> {
+            QEngine::new(self.clone()).infer(input).unwrap().to_vec()
+        }
+    }
+
+    fn domain_model<M: Fixture>(seed: u64) -> M {
+        M::build(model(seed))
+    }
+
+    /// [`calibration`] in the model's domain (Q16.16 quantises).
+    pub(crate) fn domain_inputs<M: Fixture>(n: usize) -> Vec<Vec<M::Elem>> {
+        let mut rng = DetRng::new(99);
+        (0..n)
+            .map(|_| {
+                let x: Vec<f32> = (0..4).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+                M::from_f32(&x).into_owned()
+            })
+            .collect()
+    }
+
+    /// Flips `bit` of weight `word` of parametric layer `layer`.
+    pub(crate) fn flip<M: HardenDomain>(model: &mut M, layer: usize, word: usize, bit: u32) {
+        let (weights, _) = M::params_mut(&mut model.layers_mut()[layer]).expect("parametric layer");
+        weights[word] = M::from_word(M::to_word(weights[word]) ^ (1 << bit));
+    }
+
+    /// A sequential `classify_indexed` loop over `inputs`, applying
+    /// `strike` just before decision `at`.
+    fn sequential<M: HardenDomain>(
+        engine: &HardenedEngine<M>,
+        inputs: &[Vec<M::Elem>],
+        at: usize,
+        strike: impl Fn(&mut M),
+    ) -> Vec<CheckedClassification> {
+        let mut seq = engine.clone();
+        let mut out = Vec::new();
+        for (i, input) in inputs.iter().enumerate() {
+            if i == at {
+                strike(seq.model_mut());
             }
-        )
-        .is_err());
-        let mut h = HardenedEngine::new(model(11), HardenConfig::default()).unwrap();
-        assert!(h.calibrate(&Vec::<Vec<f32>>::new()).is_err());
-        let other = ActivationGuard::calibrate(
-            &{
-                let mut rng = DetRng::new(0);
-                ModelBuilder::new(Shape::vector(4))
-                    .dense(2, &mut rng)
-                    .unwrap()
-                    .build()
-                    .unwrap()
-            },
-            &calibration(),
-            0.5,
-        )
-        .unwrap();
+            let classification = seq.classify_indexed(i as u64, input).unwrap();
+            out.push(CheckedClassification {
+                classification,
+                events: seq.last_events().to_vec(),
+                injections: seq.last_injections().to_vec(),
+            });
+        }
+        out
+    }
+
+    pub(crate) fn clean_run_matches_plain_engine<M: Fixture>(seed: u64) {
+        let m: M = domain_model(seed);
+        let mut hardened = HardenedEngine::new(m.clone(), HardenConfig::default()).unwrap();
+        let inputs = domain_inputs::<M>(16);
+        hardened.calibrate(&inputs).unwrap();
+        for input in &inputs {
+            let expected = m.plain_infer(input);
+            let got = hardened.infer(input).unwrap();
+            assert_eq!(
+                got,
+                expected.as_slice(),
+                "hardening must not perturb output"
+            );
+            assert!(hardened.last_events().is_empty());
+        }
+        assert_eq!(hardened.event_count(), 0);
+        assert_eq!(hardened.decision_count(), 16);
+    }
+
+    pub(crate) fn checksum_catches_weight_flip_in<M: Fixture>(seed: u64) {
+        let mut hardened =
+            HardenedEngine::new(domain_model::<M>(seed), HardenConfig::default()).unwrap();
+        let input = &domain_inputs::<M>(1)[0];
+        hardened.infer(input).unwrap();
+        assert!(hardened.last_events().is_empty());
+        let layer = hardened.golden_checksums()[1].0;
+        flip(hardened.model_mut(), layer, 0, 5);
+        hardened.infer(input).unwrap();
+        assert!(
+            matches!(
+                hardened.last_events(),
+                [HealthEvent::ChecksumMismatch { layer: l, .. }] if *l == layer
+            ),
+            "CRC on cadence 1 must flag the strike: {:?}",
+            hardened.last_events()
+        );
+        // Rebaselining accepts the current (corrupted) weights as golden.
+        hardened.rebaseline();
+        hardened.infer(input).unwrap();
+        assert!(hardened.last_events().is_empty());
+    }
+
+    /// Flips a weight bit in the *last* parametric layer — the worst case
+    /// for the rotation — and asserts detection within
+    /// `parametric_layers × cadence` decisions of the flip, never later.
+    pub(crate) fn rotating_crc_detects_within_bound<M: Fixture>(seed: u64, cadences: &[u64]) {
+        for &cadence in cadences {
+            let config = HardenConfig {
+                crc_cadence: cadence,
+                crc_strategy: CrcStrategy::Rotating,
+                ..HardenConfig::default()
+            };
+            let mut hardened = HardenedEngine::new(domain_model::<M>(seed), config).unwrap();
+            let layers = hardened.golden_checksums().len() as u64;
+            let bound = hardened.staleness_bound().unwrap();
+            assert_eq!(bound, layers * cadence);
+            let last_layer = hardened.golden_checksums().last().unwrap().0;
+            let input = &domain_inputs::<M>(1)[0];
+
+            // A few clean decisions first, so the flip lands mid-rotation.
+            for _ in 0..3 {
+                hardened.infer(input).unwrap();
+                assert!(hardened.last_events().is_empty());
+            }
+            let flip_at = hardened.decision_count();
+            flip(hardened.model_mut(), last_layer, 0, 0);
+
+            let mut detected_at = None;
+            for _ in 0..2 * bound {
+                hardened.infer(input).unwrap();
+                let hit = hardened.last_events().iter().any(|e| {
+                    matches!(e, HealthEvent::ChecksumMismatch { layer, staleness, .. }
+                        if *layer == last_layer && *staleness == bound)
+                });
+                if hit {
+                    detected_at = Some(hardened.decision_count() - 1);
+                    break;
+                }
+            }
+            let detected_at =
+                detected_at.expect("one full rotation must reach the corrupted layer");
+            assert!(
+                detected_at - flip_at < bound,
+                "cadence {cadence}: flip at {flip_at} detected at {detected_at}, \
+                 bound {bound}"
+            );
+        }
+    }
+
+    /// A single flip of `bit` in the last layer is repaired at the
+    /// scheduled check, *before* the layer pass reads the weights: the
+    /// corrected decision already matches the pristine engine, and the
+    /// fault is gone afterwards.
+    pub(crate) fn repair_restores_pristine<M: Fixture>(seed: u64, bit: u32) {
+        let config = HardenConfig {
+            repair: Some(EccConfig::default()),
+            ..HardenConfig::default()
+        };
+        let m: M = domain_model(seed);
+        let mut hardened = HardenedEngine::new(m.clone(), config).unwrap();
+        assert_eq!(hardened.staleness_bound(), Some(1), "Full bound = cadence");
+        let input = &domain_inputs::<M>(1)[0];
+        hardened.infer(input).unwrap();
+        assert!(hardened.last_events().is_empty());
+
+        let last_layer = hardened.golden_checksums().last().unwrap().0;
+        flip(hardened.model_mut(), last_layer, 0, bit);
+        let expected = m.plain_infer(input);
+        let got = hardened.infer(input).unwrap().to_vec();
+        assert_eq!(got, expected, "corrected decision must match pristine");
+        assert!(
+            matches!(
+                hardened.last_events(),
+                [HealthEvent::CorrectedFault { layer, word: 0, bit: b, staleness: 1 }]
+                    if *layer == last_layer && *b == bit
+            ),
+            "events: {:?}",
+            hardened.last_events()
+        );
+        hardened.infer(input).unwrap();
+        assert!(hardened.last_events().is_empty(), "the fault is gone");
+        // Interleaved parity at block 32 ≈ 6.25 % sidecar overhead.
+        let overhead = hardened.sidecar_overhead().unwrap();
+        assert!(
+            (0.05..0.10).contains(&overhead),
+            "unexpected overhead {overhead}"
+        );
+    }
+
+    /// Two flips in distinct words of one layer: no single-flip signature
+    /// exists, so ECC must refuse and the checksum path escalates exactly
+    /// as without repair, leaving the damage untouched.
+    pub(crate) fn double_flip_escalates<M: Fixture>(seed: u64) {
+        let config = HardenConfig {
+            repair: Some(EccConfig::default()),
+            ..HardenConfig::default()
+        };
+        let mut hardened = HardenedEngine::new(domain_model::<M>(seed), config).unwrap();
+        let input = &domain_inputs::<M>(1)[0];
+        hardened.infer(input).unwrap();
+        let layer = hardened.golden_checksums()[0].0;
+        flip(hardened.model_mut(), layer, 0, 0);
+        flip(hardened.model_mut(), layer, 1, 7);
+        let damaged = golden_words(hardened.model(), layer);
+        hardened.infer(input).unwrap();
+        assert!(
+            matches!(
+                hardened.last_events(),
+                [HealthEvent::ChecksumMismatch { layer: l, .. }] if *l == layer
+            ),
+            "double flip must escalate: {:?}",
+            hardened.last_events()
+        );
+        assert_eq!(
+            golden_words(hardened.model(), layer),
+            damaged,
+            "uncorrectable damage must never be miscorrected"
+        );
+    }
+
+    /// Pools of every listed worker count equal the sequential loop.
+    pub(crate) fn assert_pool_matches_sequential<M: HardenDomain>(
+        engine: &HardenedEngine<M>,
+        inputs: &[Vec<M::Elem>],
+        workers: &[usize],
+    ) {
+        let reference = sequential(engine, inputs, usize::MAX, |_| {});
+        for &workers in workers {
+            let mut pool = HardenedPool::new(engine, workers).unwrap();
+            let got = pool.classify_batch(inputs).unwrap();
+            assert_eq!(got, reference, "{workers} workers diverged");
+            assert_eq!(pool.dispatched(), inputs.len() as u64);
+        }
+    }
+
+    /// Repair mutates replica weight state mid-stream; the catch-up
+    /// machinery must keep pooled output byte-identical to sequential for
+    /// any worker count and both CRC strategies, for a strike already in
+    /// the engine the replicas are cloned from and for one landing on
+    /// every replica at a batch boundary.
+    pub(crate) fn repair_pool_matches_sequential<M: Fixture>(seed: u64, bit: u32) {
+        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
+            let config = HardenConfig {
+                crc_cadence: 2,
+                crc_strategy: strategy,
+                repair: Some(EccConfig { block_words: 8 }),
+                ..HardenConfig::default()
+            };
+            let mut engine = HardenedEngine::new(domain_model::<M>(seed), config).unwrap();
+            let inputs = domain_inputs::<M>(16);
+            engine.calibrate(&inputs).unwrap();
+            let layer = engine.golden_checksums().last().unwrap().0;
+            let strike = |m: &mut M| flip(m, layer, 0, bit);
+            let corrected = |r: &[CheckedClassification]| {
+                r.iter()
+                    .flat_map(|c| &c.events)
+                    .any(|e| matches!(e, HealthEvent::CorrectedFault { .. }))
+            };
+
+            let mut struck = engine.clone();
+            strike(struck.model_mut());
+            let reference = sequential(&struck, &inputs, usize::MAX, |_| {});
+            assert!(
+                corrected(&reference),
+                "{strategy:?}: the strike must be corrected"
+            );
+            for workers in [1, 2, 4, 8] {
+                let mut pool = HardenedPool::new(&struck, workers).unwrap();
+                let got = pool.classify_batch(&inputs).unwrap();
+                assert_eq!(
+                    got, reference,
+                    "{strategy:?}, {workers} workers, pre-clone strike"
+                );
+            }
+
+            let reference = sequential(&engine, &inputs, 8, strike);
+            assert!(
+                corrected(&reference),
+                "{strategy:?}: the strike must be corrected"
+            );
+            for workers in [1, 2, 4, 8] {
+                let mut pool = HardenedPool::new(&engine, workers).unwrap();
+                let mut got = pool.classify_batch(&inputs[..8]).unwrap();
+                for replica in pool.engines_mut() {
+                    strike(replica.model_mut());
+                }
+                got.extend(pool.classify_batch(&inputs[8..]).unwrap());
+                assert_eq!(
+                    got, reference,
+                    "{strategy:?}, {workers} workers, boundary strike"
+                );
+            }
+        }
+    }
+
+    pub(crate) fn bad_configs_rejected_in<M: Fixture>() {
+        let bad_slack = HardenConfig {
+            guard_slack: -1.0,
+            ..HardenConfig::default()
+        };
+        assert!(HardenedEngine::new(domain_model::<M>(11), bad_slack).is_err());
+        let mut h = HardenedEngine::new(domain_model::<M>(11), HardenConfig::default()).unwrap();
+        assert!(h.calibrate(&Vec::<Vec<M::Elem>>::new()).is_err());
+        let one_layer = ModelBuilder::new(Shape::vector(4))
+            .dense(2, &mut DetRng::new(0))
+            .unwrap()
+            .build()
+            .unwrap();
+        let other =
+            ActivationGuard::calibrate(&M::build(one_layer), &domain_inputs::<M>(16), 0.5).unwrap();
         assert!(h.set_guard(other).is_err(), "layer-count mismatch");
         assert!(HardenedPool::new(&h, 0).is_err());
+        let zero_block = HardenConfig {
+            repair: Some(EccConfig { block_words: 0 }),
+            ..HardenConfig::default()
+        };
         assert!(
-            HardenedEngine::new(
-                model(11),
-                HardenConfig {
-                    repair: Some(EccConfig { block_words: 0 }),
-                    ..HardenConfig::default()
-                }
-            )
-            .is_err(),
+            HardenedEngine::new(domain_model::<M>(11), zero_block).is_err(),
             "zero ecc block size"
         );
+    }
+
+    #[test]
+    fn clean_run_matches_engine_and_raises_nothing() {
+        clean_run_matches_plain_engine::<Model>(1);
+    }
+
+    #[test]
+    fn checksum_catches_weight_flip() {
+        checksum_catches_weight_flip_in::<Model>(2);
+    }
+
+    #[test]
+    fn rotating_crc_detects_within_staleness_bound_and_never_later() {
+        rotating_crc_detects_within_bound::<Model>(21, &[1, 3]);
+    }
+
+    #[test]
+    fn full_repair_restores_pristine_output() {
+        // An exponent-bit flip moves the output, so matching the pristine
+        // engine proves the repair ran before the layer loop.
+        repair_restores_pristine::<Model>(34, 30);
+    }
+
+    #[test]
+    fn ecc_repairs_single_bit_flip_and_keeps_serving() {
+        repair_restores_pristine::<Model>(30, 0);
+    }
+
+    #[test]
+    fn ecc_leaves_double_flips_on_the_escalation_path() {
+        double_flip_escalates::<Model>(31);
+    }
+
+    #[test]
+    fn pool_matches_sequential_for_any_worker_count() {
+        let mut engine = HardenedEngine::new(model(9), HardenConfig::default()).unwrap();
+        engine.calibrate(&calibration()).unwrap();
+        engine
+            .set_plan(FaultPlan {
+                seed: 13,
+                input: Some(InputFault::Noise { sigma: 0.2, p: 0.3 }),
+                activation: Some(ActivationFault { p: 0.2, bits: 2 }),
+            })
+            .unwrap();
+        assert_pool_matches_sequential(&engine, &calibration(), &[1, 2, 4]);
+    }
+
+    #[test]
+    fn repair_pool_matches_sequential_under_boundary_strikes() {
+        repair_pool_matches_sequential::<Model>(32, 0);
+    }
+
+    #[test]
+    fn bad_configs_rejected() {
+        bad_configs_rejected_in::<Model>();
     }
 }

@@ -73,7 +73,7 @@ pub use fault::{
 };
 pub use harden::{
     crc32, crc32_words, layer_checksum, layer_checksums, ActivationGuard, CheckedClassification,
-    CrcStrategy, HardenConfig, HardenedEngine, HardenedPool, HealthEvent, HealthSink,
+    CrcStrategy, HardenConfig, HardenDomain, HardenedEngine, HardenedPool, HealthEvent, HealthSink,
 };
 pub use model::{Model, ModelBuilder};
 pub use pool::{EnginePool, QEnginePool};

@@ -12,7 +12,7 @@ use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
 use safex_tensor::Shape;
 
-use crate::engine::Classification;
+use crate::engine::{reserve_arenas, run_layers, Classification};
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
@@ -327,32 +327,18 @@ impl QEngine {
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn classify(&mut self, input: &[Q16_16]) -> Result<Classification, NnError> {
-        let out = self.infer(input)?;
-        let mut best = (0usize, Q16_16::MIN);
-        for (i, &v) in out.iter().enumerate() {
-            if v > best.1 {
-                best = (i, v);
-            }
-        }
-        Ok(Classification {
-            class: best.0,
-            confidence: best.1.to_f32(),
-        })
+        Ok(qargmax(self.infer(input)?))
     }
 
     /// Runs the whole batch through the model inside the batch-major
-    /// arenas, returning `(output_len, output_in_arena_a)`. Dense layers
-    /// execute batch-wide (each weight row streams from memory once per
-    /// batch instead of once per item); everything else runs per item
-    /// over the strided rows. Bit-identical to a per-item [`QEngine::infer`]
+    /// arenas ([`crate::engine::run_layers`], the loop the f32 engine and
+    /// both hardened engines share), returning `(output_len,
+    /// output_in_arena_a)`. Bit-identical to a per-item [`QEngine::infer`]
     /// loop: integer arithmetic has no ordering latitude at all.
     fn run_batch<I: AsRef<[Q16_16]>>(&mut self, inputs: &[I]) -> Result<(usize, bool), NnError> {
         let n = inputs.len();
         let stride = self.model.max_activation_len();
-        if self.arena_a.len() < n * stride {
-            self.arena_a.resize(n * stride, Q16_16::ZERO);
-            self.arena_b.resize(n * stride, Q16_16::ZERO);
-        }
+        reserve_arenas(&mut self.arena_a, &mut self.arena_b, n * stride);
         let expected_len = self.model.input_shape().len();
         for (item, input) in inputs.iter().enumerate() {
             let input = input.as_ref();
@@ -364,40 +350,15 @@ impl QEngine {
             }
             self.arena_a[item * stride..item * stride + expected_len].copy_from_slice(input);
         }
-        let mut cur_shape = self.model.input_shape();
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers.iter().enumerate() {
-            let out_shape = self.model.shapes[i];
-            let (src, dst) = if cur_in_a {
-                (&self.arena_a, &mut self.arena_b)
-            } else {
-                (&self.arena_b, &mut self.arena_a)
-            };
-            if let QLayer::Dense {
-                weights,
-                bias,
-                inputs,
-                outputs,
-            } = layer
-            {
-                ops::dense_q16_batch_into(
-                    weights, bias, src, dst, *inputs, *outputs, n, stride, stride,
-                )?;
-            } else {
-                for item in 0..n {
-                    run_qlayer(
-                        layer,
-                        &src[item * stride..item * stride + cur_shape.len()],
-                        &mut dst[item * stride..item * stride + out_shape.len()],
-                        &cur_shape,
-                    )?;
-                }
-            }
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
+        let out = run_layers(
+            &self.model,
+            &mut self.arena_a,
+            &mut self.arena_b,
+            n,
+            |_, _, _| {},
+        )?;
         self.inferences += n as u64;
-        Ok((cur_shape.len(), cur_in_a))
+        Ok(out)
     }
 
     /// Runs inference over a batch, one arena allocation for the whole
@@ -440,20 +401,24 @@ impl QEngine {
         let stride = self.model.max_activation_len();
         let slab = if in_a { &self.arena_a } else { &self.arena_b };
         Ok((0..inputs.len())
-            .map(|item| {
-                let out = &slab[item * stride..item * stride + out_len];
-                let mut best = (0usize, Q16_16::MIN);
-                for (i, &v) in out.iter().enumerate() {
-                    if v > best.1 {
-                        best = (i, v);
-                    }
-                }
-                Classification {
-                    class: best.0,
-                    confidence: best.1.to_f32(),
-                }
-            })
+            .map(|item| qargmax(&slab[item * stride..item * stride + out_len]))
             .collect())
+    }
+}
+
+/// Argmax over a Q16.16 final activation, ties broken toward the lower
+/// index; the score converts to `f32` exactly for the magnitudes a
+/// classifier head produces.
+pub(crate) fn qargmax(out: &[Q16_16]) -> Classification {
+    let mut best = (0usize, Q16_16::MIN);
+    for (i, &v) in out.iter().enumerate() {
+        if v > best.1 {
+            best = (i, v);
+        }
+    }
+    Classification {
+        class: best.0,
+        confidence: best.1.to_f32(),
     }
 }
 

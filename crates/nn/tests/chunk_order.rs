@@ -1,16 +1,18 @@
 //! Property test: a hardened decision stream run as batch-major chunks
 //! equals the sequential per-item loop over the same global indices —
 //! classification bits, health events and injections — for any chunk
-//! sizes, fault plan, CRC strategy, repair setting and mid-stream weight
-//! strike.
+//! sizes, fault plan (f32), CRC strategy, repair setting and mid-stream
+//! weight strike, on the f32 and the Q16.16 engine alike.
 
 use proptest::prelude::*;
 use safex_nn::layer::Layer;
 use safex_nn::model::ModelBuilder;
+use safex_nn::quant::QLayer;
 use safex_nn::{
     ActivationFault, CheckedClassification, CrcStrategy, EccConfig, FaultPlan, HardenConfig,
-    HardenedEngine, HardenedPool, InputFault, Model,
+    HardenDomain, HardenedEngine, HardenedPool, InputFault, Model, QModel,
 };
+use safex_tensor::fixed::Q16_16;
 use safex_tensor::{DetRng, Shape};
 
 fn model(seed: u64) -> Model {
@@ -47,6 +49,77 @@ fn strike(model: &mut Model, layer: usize, word: usize, bit: u32) {
     }
 }
 
+/// [`strike`] on a quantised model.
+fn qstrike(model: &mut QModel, layer: usize, word: usize, bit: u32) {
+    match &mut model.layers_mut()[layer] {
+        QLayer::Dense { weights, .. } => {
+            weights[word] = Q16_16::from_bits(weights[word].to_bits() ^ (1 << bit));
+        }
+        other => panic!("layer {layer} is not dense: {other:?}"),
+    }
+}
+
+fn config(rotating: bool, repair: bool, cadence: u64) -> HardenConfig {
+    HardenConfig {
+        crc_cadence: cadence,
+        crc_strategy: if rotating {
+            CrcStrategy::Rotating
+        } else {
+            CrcStrategy::Full
+        },
+        repair: repair.then(EccConfig::default),
+        ..HardenConfig::default()
+    }
+}
+
+/// Runs `all` through `engine` sequentially and through a `workers` pool
+/// fed `chunks`, with `strike` landing at the boundary before chunk
+/// `strike_before` (past the last chunk: no strike), and asserts both
+/// agree.
+fn chunked_equals_sequential<M: HardenDomain>(
+    engine: &HardenedEngine<M>,
+    all: &[Vec<M::Elem>],
+    chunks: &[usize],
+    workers: usize,
+    strike_before: usize,
+    strike: impl Fn(&mut M),
+) -> Result<(), TestCaseError> {
+    let strike_at: usize = chunks.iter().take(strike_before).sum();
+    let strikes = strike_before < chunks.len();
+
+    let mut reference = Vec::new();
+    let mut seq = engine.clone();
+    for (i, input) in all.iter().enumerate() {
+        if strikes && i == strike_at {
+            strike(seq.model_mut());
+        }
+        let classification = seq.classify_indexed(i as u64, input).expect("classify");
+        reference.push(CheckedClassification {
+            classification,
+            events: seq.last_events().to_vec(),
+            injections: seq.last_injections().to_vec(),
+        });
+    }
+
+    let mut pool = HardenedPool::new(engine, workers).expect("pool");
+    let mut got = Vec::new();
+    let mut start = 0;
+    for (c, &len) in chunks.iter().enumerate() {
+        if strikes && c == strike_before {
+            for replica in pool.engines_mut() {
+                strike(replica.model_mut());
+            }
+        }
+        got.extend(
+            pool.classify_batch(&all[start..start + len])
+                .expect("batch"),
+        );
+        start += len;
+    }
+    prop_assert_eq!(got, reference);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -62,13 +135,8 @@ proptest! {
         strike_slot in 0usize..3,
         strike_bit in 0u32..32,
     ) {
-        let config = HardenConfig {
-            crc_cadence: cadence,
-            crc_strategy: if rotating { CrcStrategy::Rotating } else { CrcStrategy::Full },
-            repair: repair.then(EccConfig::default),
-            ..HardenConfig::default()
-        };
-        let mut engine = HardenedEngine::new(model(seed), config).expect("engine");
+        let mut engine =
+            HardenedEngine::new(model(seed), config(rotating, repair, cadence)).expect("engine");
         let all = inputs(seed ^ 0xC0FFEE, chunks.iter().sum());
         engine.calibrate(&all).expect("calibrate");
         engine
@@ -79,37 +147,34 @@ proptest! {
             })
             .expect("plan");
         let strike_layer = engine.golden_checksums()[strike_slot].0;
-        // The strike lands at the boundary before chunk `strike_before`
-        // (past the last chunk: no strike).
-        let strike_at: usize = chunks.iter().take(strike_before).sum();
-        let strikes = strike_before < chunks.len();
+        chunked_equals_sequential(&engine, &all, &chunks, workers, strike_before, |m| {
+            strike(m, strike_layer, 0, strike_bit)
+        })?;
+    }
 
-        let mut reference = Vec::new();
-        let mut seq = engine.clone();
-        for (i, input) in all.iter().enumerate() {
-            if strikes && i == strike_at {
-                strike(seq.model_mut(), strike_layer, 0, strike_bit);
-            }
-            let classification = seq.classify_indexed(i as u64, input).expect("classify");
-            reference.push(CheckedClassification {
-                classification,
-                events: seq.last_events().to_vec(),
-                injections: seq.last_injections().to_vec(),
-            });
-        }
-
-        let mut pool = HardenedPool::new(&engine, workers).expect("pool");
-        let mut got = Vec::new();
-        let mut start = 0;
-        for (c, &len) in chunks.iter().enumerate() {
-            if strikes && c == strike_before {
-                for replica in pool.engines_mut() {
-                    strike(replica.model_mut(), strike_layer, 0, strike_bit);
-                }
-            }
-            got.extend(pool.classify_batch(&all[start..start + len]).expect("batch"));
-            start += len;
-        }
-        prop_assert_eq!(got, reference);
+    #[test]
+    fn chunked_q16_decisions_equal_per_item_decisions(
+        seed in any::<u64>(),
+        chunks in prop::collection::vec(1usize..=16, 1..6),
+        workers in 1usize..=3,
+        rotating in any::<bool>(),
+        repair in any::<bool>(),
+        cadence in 1u64..=3,
+        strike_before in 0usize..6,
+        strike_slot in 0usize..3,
+        strike_bit in 0u32..32,
+    ) {
+        let qmodel = QModel::quantize(&model(seed)).expect("quantize");
+        let mut engine =
+            HardenedEngine::new(qmodel, config(rotating, repair, cadence)).expect("engine");
+        let all: Vec<Vec<Q16_16>> = inputs(seed ^ 0xC0FFEE, chunks.iter().sum())
+            .iter()
+            .map(|x| x.iter().map(|&v| Q16_16::from_f32(v)).collect())
+            .collect();
+        engine.calibrate(&all).expect("calibrate");
+        let strike_layer = engine.golden_checksums()[strike_slot].0;
+        chunked_equals_sequential(&engine, &all, &chunks, workers, strike_before, |m| {
+            qstrike(m, strike_layer, 0, strike_bit)
+        })?;
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use safex_nn::{Engine, HardenedEngine, HardenedQEngine, QEngine};
+use safex_nn::{Engine, HardenDomain, HardenedEngine, Model, QEngine, QModel};
 use safex_tensor::fixed::Q16_16;
 
 use crate::error::PatternError;
@@ -24,10 +24,10 @@ pub struct ChannelVerdict {
 /// that patterns translate into fallback behaviour rather than propagate
 /// as a crash.
 ///
-/// `Send` is a supertrait so redundant channels can be evaluated on
-/// scoped worker threads (see
-/// [`ParallelPolicy`](crate::pattern::ParallelPolicy)); channels hold
-/// their own engines and buffers, so they have no shared mutable state.
+/// `Send` is a supertrait so a pattern, and the pipeline that owns it,
+/// can move to a worker thread (campaign cells run on a worker pool);
+/// channels hold their own engines and buffers, so they have no shared
+/// mutable state.
 pub trait Channel: Send {
     /// Stable channel name for evidence records.
     fn name(&self) -> &str;
@@ -101,21 +101,35 @@ impl Channel for ModelChannel {
 /// use, fault injection via an attached
 /// [`FaultPlan`](safex_nn::FaultPlan).
 ///
-/// The engine sits behind an `Arc<Mutex<_>>` so the campaign driver that
-/// built the channel can keep a [`HardenedChannel::handle`] — e.g. to
-/// flip weights mid-run or rebaseline checksums — while the pattern owns
-/// the channel. Health events flow through whatever
-/// [`HealthSink`](safex_nn::HealthSink) was attached to the engine before
-/// wrapping.
+/// Generic over the engine's model type: `HardenedChannel` (f32, the
+/// default) or [`HardenedQuantChannel`] (Q16.16, which quantises each
+/// `f32` input first). The engine sits behind an `Arc<Mutex<_>>` so the
+/// campaign driver that built the channel can keep a
+/// [`HardenedChannel::handle`] — e.g. to flip weights mid-run or
+/// rebaseline checksums — while the pattern owns the channel. Health
+/// events flow through whatever [`HealthSink`](safex_nn::HealthSink) was
+/// attached to the engine before wrapping.
 #[derive(Debug)]
-pub struct HardenedChannel {
+pub struct HardenedChannel<M: HardenDomain = Model> {
     name: String,
-    engine: Arc<Mutex<HardenedEngine>>,
+    engine: Arc<Mutex<HardenedEngine<M>>>,
 }
 
-impl HardenedChannel {
+/// The hardened Q16.16 channel: the diverse second opinion of
+/// [`QuantChannel`] with its own armed diagnostics (Q16.16 weight
+/// checksums and fixed-point range guards).
+///
+/// Pairing it with an f32 [`HardenedChannel`] in a 2-out-of-3 pattern
+/// gives diverse redundancy where *both* implementations can be struck by
+/// a fault campaign and both raise typed health events — the
+/// configuration the diverse-redundancy campaign cells
+/// (`safex_core::campaign::CampaignPattern::DiverseTwoOutOfThree`)
+/// deploy.
+pub type HardenedQuantChannel = HardenedChannel<QModel>;
+
+impl<M: HardenDomain> HardenedChannel<M> {
     /// Wraps a hardened engine as a channel.
-    pub fn new(name: impl Into<String>, engine: HardenedEngine) -> Self {
+    pub fn new(name: impl Into<String>, engine: HardenedEngine<M>) -> Self {
         HardenedChannel {
             name: name.into(),
             engine: Arc::new(Mutex::new(engine)),
@@ -124,7 +138,7 @@ impl HardenedChannel {
 
     /// A shared handle to the wrapped engine (for mid-run weight
     /// injection, rebaselining, or reading counters).
-    pub fn handle(&self) -> Arc<Mutex<HardenedEngine>> {
+    pub fn handle(&self) -> Arc<Mutex<HardenedEngine<M>>> {
         Arc::clone(&self.engine)
     }
 
@@ -150,7 +164,7 @@ impl HardenedChannel {
     }
 }
 
-impl Channel for HardenedChannel {
+impl<M: HardenDomain> Channel for HardenedChannel<M> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -160,7 +174,7 @@ impl Channel for HardenedChannel {
             .engine
             .lock()
             .expect("hardened engine poisoned")
-            .classify(input)?;
+            .classify_f32(input)?;
         if !c.confidence.is_finite() {
             return Err(PatternError::ChannelFault(format!(
                 "channel {} produced non-finite confidence",
@@ -201,84 +215,6 @@ impl Channel for QuantChannel {
     fn decide(&mut self, input: &[f32]) -> Result<ChannelVerdict, PatternError> {
         let q: Vec<Q16_16> = input.iter().map(|&v| Q16_16::from_f32(v)).collect();
         let c = self.engine.classify(&q)?;
-        Ok(ChannelVerdict {
-            class: c.class,
-            confidence: c.confidence,
-        })
-    }
-}
-
-/// A DL channel wrapping the *hardened* quantised engine: the diverse
-/// second opinion of [`QuantChannel`] with its own armed diagnostics
-/// (Q16.16 weight checksums and fixed-point range guards).
-///
-/// Pairing this with a [`HardenedChannel`] in a 2-out-of-3 pattern gives
-/// diverse redundancy where *both* implementations can be struck by a
-/// fault campaign and both raise typed health events — the configuration
-/// the diverse-redundancy campaign cells
-/// (`safex_core::campaign::CampaignPattern::DiverseTwoOutOfThree`)
-/// deploy. Like [`HardenedChannel`], the engine sits behind an
-/// `Arc<Mutex<_>>` so the campaign driver keeps a
-/// [`HardenedQuantChannel::handle`] for mid-run weight strikes and
-/// restores.
-#[derive(Debug)]
-pub struct HardenedQuantChannel {
-    name: String,
-    engine: Arc<Mutex<HardenedQEngine>>,
-}
-
-impl HardenedQuantChannel {
-    /// Wraps a hardened quantised engine as a channel.
-    pub fn new(name: impl Into<String>, engine: HardenedQEngine) -> Self {
-        HardenedQuantChannel {
-            name: name.into(),
-            engine: Arc::new(Mutex::new(engine)),
-        }
-    }
-
-    /// A shared handle to the wrapped engine (for mid-run weight
-    /// injection, rebaselining, or reading counters).
-    pub fn handle(&self) -> Arc<Mutex<HardenedQEngine>> {
-        Arc::clone(&self.engine)
-    }
-
-    /// Worst-case decisions between a corrupting weight write and its
-    /// detection under the wrapped engine's CRC configuration; `None`
-    /// when checksum verification is disabled.
-    pub fn staleness_bound(&self) -> Option<u64> {
-        self.engine
-            .lock()
-            .expect("hardened quantised engine poisoned")
-            .staleness_bound()
-    }
-
-    /// ECC sidecar memory as a fraction of the protected parameter bits;
-    /// `None` when repair is disabled.
-    pub fn sidecar_overhead(&self) -> Option<f64> {
-        self.engine
-            .lock()
-            .expect("hardened quantised engine poisoned")
-            .sidecar_overhead()
-    }
-}
-
-impl Channel for HardenedQuantChannel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decide(&mut self, input: &[f32]) -> Result<ChannelVerdict, PatternError> {
-        let c = self
-            .engine
-            .lock()
-            .expect("hardened quantised engine poisoned")
-            .classify_f32(input)?;
-        if !c.confidence.is_finite() {
-            return Err(PatternError::ChannelFault(format!(
-                "channel {} produced non-finite confidence",
-                self.name
-            )));
-        }
         Ok(ChannelVerdict {
             class: c.class,
             confidence: c.confidence,
@@ -360,7 +296,7 @@ impl Channel for ConstantChannel {
 mod tests {
     use super::*;
     use safex_nn::model::ModelBuilder;
-    use safex_nn::QModel;
+    use safex_nn::HardenedQEngine;
     use safex_tensor::{DetRng, Shape};
 
     fn engine(seed: u64) -> Engine {

@@ -53,4 +53,3 @@ pub mod pattern;
 pub use criticality::Sil;
 pub use decision::{Action, Decision, FallbackReason};
 pub use error::PatternError;
-pub use pattern::ParallelPolicy;

@@ -3,59 +3,9 @@
 
 use safex_supervision::{CalibratedMonitor, Verdict};
 
-use crate::channel::{Channel, ChannelVerdict};
+use crate::channel::Channel;
 use crate::decision::{Decision, FallbackReason};
 use crate::error::PatternError;
-
-/// How a pattern evaluates its redundant channels.
-///
-/// Redundant channels (the three voters of [`TwoOutOfThree`], the
-/// primary/monitor pair of [`MonitorActuator`]) are independent by
-/// construction, so they *may* run concurrently — but SIL configurations
-/// that forbid intra-decision concurrency (single-core certification
-/// targets, WCET arguments built on sequential execution) can pin the
-/// pattern to sequential evaluation.
-///
-/// Both modes produce identical [`Decision`]s on the fault-free path:
-/// each channel is evaluated exactly once per decision against the same
-/// input, and votes are tallied in declared channel order regardless of
-/// completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelPolicy {
-    /// Evaluate channels one after another on the calling thread
-    /// (default; matches the certification-friendly baseline).
-    #[default]
-    Sequential,
-    /// Evaluate channels concurrently on scoped worker threads.
-    Parallel,
-}
-
-/// Evaluates every channel once against `input`, honouring `policy`.
-///
-/// Results are returned in declared channel order for both policies, so
-/// downstream voting is scheduling-independent.
-fn decide_all<'c>(
-    channels: impl IntoIterator<Item = &'c mut (dyn Channel + 'static)>,
-    input: &[f32],
-    policy: ParallelPolicy,
-) -> Vec<Result<ChannelVerdict, PatternError>> {
-    match policy {
-        ParallelPolicy::Sequential => channels.into_iter().map(|c| c.decide(input)).collect(),
-        ParallelPolicy::Parallel => std::thread::scope(|scope| {
-            let handles: Vec<_> = channels
-                .into_iter()
-                .map(|c| scope.spawn(move || c.decide(input)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(verdict) => verdict,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        }),
-    }
-}
 
 /// A composed safety architecture that turns inputs into [`Decision`]s.
 ///
@@ -136,12 +86,10 @@ impl SafetyPattern for Bare {
 /// verifiable component the pattern's safety argument rests on. An
 /// optional *monitor channel* ([`Self::with_monitor_channel`]) adds a
 /// second, independently developed channel whose class must agree with
-/// the primary's; because the two are independent, they can be evaluated
-/// concurrently under [`ParallelPolicy::Parallel`].
+/// the primary's.
 pub struct MonitorActuator {
     channel: Box<dyn Channel>,
     monitor: Option<Box<dyn Channel>>,
-    policy: ParallelPolicy,
     confidence_floor: f32,
     /// A new class must persist this many consecutive frames before it is
     /// acted on (0 = no temporal filtering).
@@ -151,8 +99,7 @@ pub struct MonitorActuator {
 }
 
 impl MonitorActuator {
-    /// Creates the pattern (channel boxed internally, no monitor channel,
-    /// sequential evaluation).
+    /// Creates the pattern (channel boxed internally, no monitor channel).
     ///
     /// # Errors
     ///
@@ -171,7 +118,6 @@ impl MonitorActuator {
         Ok(MonitorActuator {
             channel: Box::new(channel),
             monitor: None,
-            policy: ParallelPolicy::Sequential,
             confidence_floor,
             consistency_frames,
             last_class: None,
@@ -186,14 +132,6 @@ impl MonitorActuator {
         self.monitor = Some(Box::new(monitor));
         self
     }
-
-    /// Sets how the primary and monitor channels are evaluated (only
-    /// observable in latency: decisions are identical either way).
-    #[must_use]
-    pub fn with_policy(mut self, policy: ParallelPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 impl SafetyPattern for MonitorActuator {
@@ -204,13 +142,9 @@ impl SafetyPattern for MonitorActuator {
     fn decide(&mut self, input: &[f32]) -> Result<Decision, PatternError> {
         let has_monitor = self.monitor.is_some();
         let (evals, checks) = if has_monitor { (2, 2) } else { (1, 1) };
-        let mut outcomes = decide_all(
-            std::iter::once(self.channel.as_mut()).chain(self.monitor.as_mut().map(|m| m.as_mut())),
-            input,
-            self.policy,
-        );
-        let monitor_outcome = if has_monitor { outcomes.pop() } else { None };
-        let verdict = match outcomes.pop().expect("primary outcome present") {
+        let primary_outcome = self.channel.decide(input);
+        let monitor_outcome = self.monitor.as_mut().map(|m| m.decide(input));
+        let verdict = match primary_outcome {
             Ok(v) => v,
             Err(PatternError::ChannelFault(_)) => {
                 return Ok(Decision::safe_stop(
@@ -477,12 +411,10 @@ impl SafetyPattern for RecoveryBlock {
 /// independence.
 pub struct TwoOutOfThree {
     channels: [Box<dyn Channel>; 3],
-    policy: ParallelPolicy,
 }
 
 impl TwoOutOfThree {
-    /// Creates the voter (channels boxed internally, sequential
-    /// evaluation).
+    /// Creates the voter (channels boxed internally).
     ///
     /// # Errors
     ///
@@ -495,16 +427,7 @@ impl TwoOutOfThree {
     ) -> Result<Self, PatternError> {
         Ok(TwoOutOfThree {
             channels: [Box::new(a), Box::new(b), Box::new(c)],
-            policy: ParallelPolicy::Sequential,
         })
-    }
-
-    /// Sets how the three voters are evaluated (only observable in
-    /// latency: votes are tallied in declared order either way).
-    #[must_use]
-    pub fn with_policy(mut self, policy: ParallelPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 }
 
@@ -516,13 +439,9 @@ impl SafetyPattern for TwoOutOfThree {
     fn decide(&mut self, input: &[f32]) -> Result<Decision, PatternError> {
         let mut verdicts = Vec::with_capacity(3);
         let mut faults = 0u32;
-        let outcomes = decide_all(
-            self.channels
-                .iter_mut()
-                .map(|c| c.as_mut() as &mut dyn Channel),
-            input,
-            self.policy,
-        );
+        // Every voter decides before any vote is tallied, in declared
+        // order.
+        let outcomes: Vec<_> = self.channels.iter_mut().map(|c| c.decide(input)).collect();
         for outcome in outcomes {
             match outcome {
                 Ok(v) => verdicts.push(v),
@@ -858,49 +777,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_policy_matches_sequential_for_two_out_of_three() {
-        // Same channels, both policies, many inputs: identical decisions.
-        let build = |policy: ParallelPolicy| {
-            TwoOutOfThree::new(
-                RuleChannel::new("a", |x: &[f32]| usize::from(x[0] > 0.5)),
-                RuleChannel::new("b", |x: &[f32]| usize::from(x[0] > 0.4)),
-                RuleChannel::new("c", |x: &[f32]| usize::from(x[0] > 0.6)),
-            )
-            .unwrap()
-            .with_policy(policy)
-        };
-        let mut seq = build(ParallelPolicy::Sequential);
-        let mut par = build(ParallelPolicy::Parallel);
-        for i in 0..50 {
-            let x = [i as f32 / 50.0];
-            assert_eq!(seq.decide(&x).unwrap(), par.decide(&x).unwrap());
-        }
-    }
-
-    #[test]
-    fn parallel_two_out_of_three_handles_faults() {
-        let mut p = TwoOutOfThree::new(
-            Scripted::new(vec![Err(())]),
-            ConstantChannel::new("b", 1),
-            ConstantChannel::new("c", 1),
-        )
-        .unwrap()
-        .with_policy(ParallelPolicy::Parallel);
-        let d = p.decide(&[0.0]).unwrap();
-        assert_eq!(d.action.class(), Some(1));
-    }
-
-    #[test]
     fn monitor_channel_agreement_proceeds() {
-        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Parallel] {
-            let mut p = MonitorActuator::new(ConstantChannel::new("primary", 1), 0.5, 0)
-                .unwrap()
-                .with_monitor_channel(ConstantChannel::new("monitor", 1))
-                .with_policy(policy);
-            let d = p.decide(&[0.0]).unwrap();
-            assert!(d.action.is_proceed(), "policy {policy:?}");
-            assert_eq!(d.channel_evals, 2);
-        }
+        let mut p = MonitorActuator::new(ConstantChannel::new("primary", 1), 0.5, 0)
+            .unwrap()
+            .with_monitor_channel(ConstantChannel::new("monitor", 1));
+        let d = p.decide(&[0.0]).unwrap();
+        assert!(d.action.is_proceed());
+        assert_eq!(d.channel_evals, 2);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! A batch is semantically a sequential replay: for the same fault seed,
 //! the batch path must reproduce the exact decision sequence of
-//! one-at-a-time `decide` calls — including every injected fault — for
-//! both `ParallelPolicy` settings. This pins down the contract campaigns
-//! rely on when they sweep fault classes through the batch API.
+//! one-at-a-time `decide` calls — including every injected fault. This
+//! pins down the contract campaigns rely on when they sweep fault classes
+//! through the batch API.
 
 use safex_patterns::channel::{ConstantChannel, RuleChannel};
 use safex_patterns::fault::{FaultModel, FaultyChannel};
-use safex_patterns::pattern::{MonitorActuator, ParallelPolicy, SafetyPattern, TwoOutOfThree};
+use safex_patterns::pattern::{MonitorActuator, SafetyPattern, TwoOutOfThree};
 use safex_patterns::Decision;
 use safex_tensor::DetRng;
 
@@ -41,45 +41,39 @@ fn sequential(mut pattern: impl SafetyPattern, inputs: &[Vec<f32>]) -> Vec<Decis
 
 #[test]
 fn two_out_of_three_batch_equals_sequential_fault_sequence() {
-    let build = |policy: ParallelPolicy| {
+    let build = || {
         TwoOutOfThree::new(
             faulty(42),
             ConstantChannel::new("b", 1),
             ConstantChannel::new("c", 1),
         )
         .expect("voter")
-        .with_policy(policy)
     };
     let input_vec = inputs();
     let slices: Vec<&[f32]> = input_vec.iter().map(Vec::as_slice).collect();
-    let reference = sequential(build(ParallelPolicy::Sequential), &input_vec);
-    for policy in [ParallelPolicy::Sequential, ParallelPolicy::Parallel] {
-        let batched = build(policy).decide_batch(&slices).expect("batch");
-        assert_eq!(
-            batched, reference,
-            "policy {policy:?} diverged from the sequential fault sequence"
-        );
-    }
+    let reference = sequential(build(), &input_vec);
+    let batched = build().decide_batch(&slices).expect("batch");
+    assert_eq!(
+        batched, reference,
+        "batch diverged from the sequential fault sequence"
+    );
 }
 
 #[test]
 fn monitor_actuator_batch_equals_sequential_fault_sequence() {
-    let build = |policy: ParallelPolicy| {
+    let build = || {
         MonitorActuator::new(faulty(7), 0.4, 0)
             .expect("pattern")
             .with_monitor_channel(ConstantChannel::new("monitor", 1))
-            .with_policy(policy)
     };
     let input_vec = inputs();
     let slices: Vec<&[f32]> = input_vec.iter().map(Vec::as_slice).collect();
-    let reference = sequential(build(ParallelPolicy::Sequential), &input_vec);
-    for policy in [ParallelPolicy::Sequential, ParallelPolicy::Parallel] {
-        let batched = build(policy).decide_batch(&slices).expect("batch");
-        assert_eq!(
-            batched, reference,
-            "policy {policy:?} diverged from the sequential fault sequence"
-        );
-    }
+    let reference = sequential(build(), &input_vec);
+    let batched = build().decide_batch(&slices).expect("batch");
+    assert_eq!(
+        batched, reference,
+        "batch diverged from the sequential fault sequence"
+    );
 }
 
 #[test]
