@@ -4,13 +4,11 @@
 //! A campaign answers the certification question the hardened runtime
 //! exists for: *of the faults we inject, how many does the runtime
 //! detect, and how often does an undetected fault silently corrupt a
-//! decision?* Each cell of the sweep builds a fresh
-//! [`HardenedEngine`](safex_nn::HardenedEngine) behind a
-//! [`HardenedChannel`](safex_patterns::channel::HardenedChannel), wires it
-//! into a [`SafePipeline`](crate::SafePipeline) with a
-//! [`HealthMonitor`](crate::health::HealthMonitor), replays a fixed input
-//! stream under one fault class at one rate, and scores every decision
-//! against a pristine reference engine.
+//! decision?* Each cell of the sweep builds a fresh [`HardenedEngine`]
+//! behind a [`HardenedChannel`], wires it into a
+//! [`SafePipeline`](crate::SafePipeline) with a [`HealthMonitor`],
+//! replays a fixed input stream under one fault class at one rate, and
+//! scores every decision against a pristine reference engine.
 //!
 //! Everything is keyed off [`CampaignConfig::seed`]: the same config over
 //! the same model and inputs reproduces the report bit for bit —

@@ -250,7 +250,13 @@ impl HealthMonitor {
             HealthVerdict::Warning => self.warn_history.count_ones() > self.config.warn_budget,
         };
         self.history = ((self.history << 1) | u64::from(unhealthy)) & mask;
-        self.clean_streak = if unhealthy { 0 } else { self.clean_streak + 1 };
+        // Saturates: a Nominal run passes 2³² clean decisions, and any
+        // streak that long is past every `recover_after`.
+        self.clean_streak = if unhealthy {
+            0
+        } else {
+            self.clean_streak.saturating_add(1)
+        };
         let count = self.history.count_ones();
 
         let next = match self.state {
@@ -678,6 +684,24 @@ mod tests {
         // single fresh one does not instantly re-degrade.
         assert_eq!(m.unhealthy_in_window(), 0);
         assert_eq!(m.step(true), None);
+    }
+
+    #[test]
+    fn clean_streak_saturates_instead_of_overflowing() {
+        let decisions = (1u64 << 32) + 4;
+        let ladder = LadderState {
+            state: HealthState::Nominal,
+            history: 0,
+            warn_history: 0,
+            clean_streak: u32::MAX,
+            decisions,
+            time_in: [decisions, 0, 0],
+            transitions: Vec::new(),
+        };
+        let mut m = HealthMonitor::restore(quick(), ladder).expect("a producible ladder");
+        assert_eq!(m.step(false), None);
+        assert_eq!(m.clean_streak(), u32::MAX);
+        assert_eq!(m.decision_count(), decisions + 1);
     }
 
     #[test]

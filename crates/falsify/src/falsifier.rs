@@ -4,7 +4,7 @@
 //! configuration:
 //!
 //! 1. **Grid seeding.** The space's coarse lattice
-//!    ([`ScenarioSpace::grid`]) is evaluated exhaustively, so no corner
+//!    ([`ScenarioSpace::grid`](crate::ScenarioSpace::grid)) is evaluated exhaustively, so no corner
 //!    of the space is unexplored at the resolution the grid affords.
 //! 2. **Cross-entropy refinement.** Each round ranks every evaluation so
 //!    far by its worst specification margin and resamples around the

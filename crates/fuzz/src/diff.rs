@@ -17,7 +17,7 @@
 use safex_nn::{
     CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, HardenedPool, QEngine, QModel,
 };
-use safex_tensor::{DetRng, Q16_16};
+use safex_tensor::DetRng;
 
 use crate::gen;
 
@@ -131,8 +131,7 @@ pub fn diff_f32_vs_q16(seed: u64, cases: usize, guard: f32) -> (u64, Vec<DiffFin
             continue; // genuinely ambiguous; quantization may flip it
         }
         counted += 1;
-        let q_input: Vec<Q16_16> = input.iter().map(|&v| Q16_16::from_f32(v)).collect();
-        let q = q_engine.classify(&q_input).expect("q16 classify");
+        let q = q_engine.classify_f32(input).expect("q16 classify");
         if q.class != idx[0] {
             findings.push(DiffFinding {
                 oracle: "f32-vs-q16".into(),

@@ -12,7 +12,7 @@
 //! * **Byte decoders** ([`surface`]) — [`safex_serve::ServerSnapshot`],
 //!   model blobs (`safex_nn::io`), and falsifier witness files
 //!   ([`safex_falsify::WitnessFile`]), each probed with typed mutations
-//!   ([`mutate`]) over grammar-aware valid bases ([`gen`]): bit flips,
+//!   ([`mutate`](mod@mutate)) over grammar-aware valid bases ([`gen`]): bit flips,
 //!   torn writes, truncation, length-field lies, CRC-preserving
 //!   corruption, splices of two valid containers. Contract: typed error
 //!   or round-trip-stable acceptance — never a panic, never fail-open.

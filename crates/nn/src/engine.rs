@@ -5,16 +5,31 @@ use safex_tensor::{Shape, Tensor};
 
 use crate::error::NnError;
 use crate::harden::domain::Domain;
+use crate::harden::HardenDomain;
 use crate::layer::Layer;
 use crate::model::Model;
 
-/// Executes a frozen [`Model`] with zero per-inference heap allocation.
+/// A named classification result: the argmax class and its score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Classification {
+    /// Predicted class index (argmax over the final activation).
+    pub class: usize,
+    /// Score of the predicted class (softmax probability when the model
+    /// ends in a softmax layer, raw activation otherwise).
+    pub confidence: f32,
+}
+
+/// Executes a frozen model with zero per-inference heap allocation.
 ///
-/// The engine owns two ping-pong activation buffers sized at construction
-/// to the model's largest activation ([`Model::max_activation_len`]).
-/// [`Engine::infer`] copies the input into one buffer and alternates
-/// between the two as it walks the layers, so no allocation happens on the
-/// hot path — a hard requirement in FUSA coding standards.
+/// Generic over the model type: `Engine` (the default, an f32 [`Model`])
+/// or [`crate::QEngine`] (`Engine<QModel>`, integer-only Q16.16). Both
+/// run the crate's one layer loop, `run_layers`, over a batch-major
+/// ping-pong arena pair: [`Engine::infer`] is its batch of one, and
+/// [`Engine::infer_batch`] stages every item in the same arenas. The
+/// arenas are sized for one item at construction, so single-item
+/// inference never allocates; a batch grows them once and later batches
+/// of that size or smaller reuse them — a hard requirement in FUSA
+/// coding standards, pinned by `tests/alloc_budget.rs`.
 ///
 /// Determinism: kernels come from [`safex_tensor::ops`], which fix both the
 /// accumulation order and the accumulator width. Two calls with the same
@@ -41,61 +56,64 @@ use crate::model::Model;
 /// # Ok(())
 /// # }
 /// ```
-/// A named classification result: the argmax class and its score.
-///
-/// Replaces the old anonymous `(usize, f32)` tuple so call sites say
-/// `c.class` / `c.confidence` instead of `.0` / `.1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Classification {
-    /// Predicted class index (argmax over the final activation).
-    pub class: usize,
-    /// Score of the predicted class (softmax probability when the model
-    /// ends in a softmax layer, raw activation otherwise).
-    pub confidence: f32,
-}
-
 #[derive(Debug, Clone)]
-pub struct Engine {
-    model: Model,
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
-    /// Batch-major ping-pong arenas for [`Engine::infer_batch`] /
-    /// [`Engine::classify_batch`]: `batch × max_activation_len` each,
-    /// allocated on first batch use, grown on demand, and reused across
-    /// layers *and* across calls.
-    arena_a: Vec<f32>,
-    arena_b: Vec<f32>,
+pub struct Engine<M: HardenDomain = Model> {
+    model: M,
+    /// Batch-major ping-pong arenas, `batch × max_activation_len` each:
+    /// one item's worth from construction, grown on demand, and reused
+    /// across layers *and* across calls.
+    arena_a: Vec<M::Elem>,
+    arena_b: Vec<M::Elem>,
     inferences: u64,
 }
 
-impl Engine {
-    /// Creates an engine, pre-allocating all activation buffers.
-    pub fn new(model: Model) -> Self {
-        let cap = model.max_activation_len();
-        Engine {
-            model,
-            buf_a: vec![0.0; cap],
-            buf_b: vec![0.0; cap],
-            arena_a: Vec::new(),
-            arena_b: Vec::new(),
-            inferences: 0,
-        }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
+impl Engine<Model> {
     /// Mutable model access (fault-injection experiments re-use a built
     /// engine after flipping weights).
     pub fn model_mut(&mut self) -> &mut Model {
         &mut self.model
     }
 
-    /// Consumes the engine and returns the model.
-    pub fn into_model(self) -> Model {
-        self.model
+    /// Runs the model and returns every intermediate activation as an
+    /// owned [`Tensor`] (input excluded, one entry per layer).
+    ///
+    /// This *does* allocate; it exists for explainers and supervisors that
+    /// need to inspect internal activations, not for the deployed hot path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] on a wrong-sized input.
+    pub fn infer_traced(&mut self, input: &[f32]) -> Result<Vec<Tensor>, NnError> {
+        let mut activations = Vec::with_capacity(self.model.len());
+        self.run_batch(&[input], |_, _, activation| {
+            activations.push(activation.to_vec());
+        })?;
+        activations
+            .into_iter()
+            .enumerate()
+            .map(|(i, activation)| {
+                let shape = self.model.layer_output_shape(i).expect("one per layer");
+                Ok(Tensor::from_vec(shape, activation)?)
+            })
+            .collect()
+    }
+}
+
+impl<M: HardenDomain> Engine<M> {
+    /// Creates an engine with its arenas sized for one item.
+    pub fn new(model: M) -> Self {
+        let cap = model.max_activation_len();
+        Engine {
+            model,
+            arena_a: vec![M::Elem::default(); cap],
+            arena_b: vec![M::Elem::default(); cap],
+            inferences: 0,
+        }
+    }
+
+    /// The wrapped model.
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
     /// Number of completed inferences since construction.
@@ -111,125 +129,74 @@ impl Engine {
     ///
     /// Returns [`NnError::InputShape`] if `input.len()` differs from the
     /// model's input element count.
-    pub fn infer(&mut self, input: &[f32]) -> Result<&[f32], NnError> {
-        let expected = self.model.input_shape();
-        if input.len() != expected.len() {
-            return Err(NnError::InputShape {
-                expected,
-                actual: input.len(),
-            });
-        }
-        self.buf_a[..input.len()].copy_from_slice(input);
-        let mut cur_shape = expected;
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers().iter().enumerate() {
-            let out_shape = self
-                .model
-                .layer_output_shape(i)
-                .expect("layer index in range");
-            let (src, dst) = if cur_in_a {
-                (&self.buf_a, &mut self.buf_b)
-            } else {
-                (&self.buf_b, &mut self.buf_a)
-            };
-            run_layer(
-                layer,
-                &src[..cur_shape.len()],
-                &mut dst[..out_shape.len()],
-                &cur_shape,
-            )?;
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
-        self.inferences += 1;
-        let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-        Ok(&out[..cur_shape.len()])
-    }
-
-    /// Runs the model and returns every intermediate activation as an
-    /// owned [`Tensor`] (input excluded, one entry per layer).
-    ///
-    /// This *does* allocate; it exists for explainers and supervisors that
-    /// need to inspect internal activations, not for the deployed hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn infer_traced(&mut self, input: &[f32]) -> Result<Vec<Tensor>, NnError> {
-        let expected = self.model.input_shape();
-        if input.len() != expected.len() {
-            return Err(NnError::InputShape {
-                expected,
-                actual: input.len(),
-            });
-        }
-        // Same ping-pong discipline as `infer`: the only per-layer
-        // allocation is the owned `Tensor` each caller actually asked for
-        // (the previous version also built a scratch `Vec` per layer and
-        // cloned it into the tensor).
-        self.buf_a[..input.len()].copy_from_slice(input);
-        let mut activations = Vec::with_capacity(self.model.len());
-        let mut cur_shape = expected;
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers().iter().enumerate() {
-            let out_shape = self
-                .model
-                .layer_output_shape(i)
-                .expect("layer index in range");
-            let (src, dst) = if cur_in_a {
-                (&self.buf_a, &mut self.buf_b)
-            } else {
-                (&self.buf_b, &mut self.buf_a)
-            };
-            let dst = &mut dst[..out_shape.len()];
-            run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
-            activations.push(Tensor::from_vec(out_shape, dst.to_vec())?);
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
-        self.inferences += 1;
-        Ok(activations)
+    pub fn infer(&mut self, input: &[M::Elem]) -> Result<&[M::Elem], NnError> {
+        let (len, in_a) = self.run_batch(&[input], |_, _, _| {})?;
+        Ok(&self.slab(in_a)[..len])
     }
 
     /// Convenience: runs inference and returns the argmax
-    /// [`Classification`].
+    /// [`Classification`] (ties toward the lower index; a Q16.16 score
+    /// converts to `f32` exactly for the magnitudes a classifier head
+    /// produces).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn classify(&mut self, input: &[f32]) -> Result<Classification, NnError> {
-        let out = self.infer(input)?;
-        Ok(argmax(out))
+    pub fn classify(&mut self, input: &[M::Elem]) -> Result<Classification, NnError> {
+        Ok(M::argmax(self.infer(input)?))
+    }
+
+    /// [`Engine::classify`] of an `f32` input — the front door decision
+    /// channels use (a Q16.16 engine quantises it first).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] on a wrong-sized input.
+    pub fn classify_f32(&mut self, input: &[f32]) -> Result<Classification, NnError> {
+        let input = M::from_f32(input);
+        self.classify(&input)
+    }
+
+    /// The arena holding the final activations of the last run.
+    fn slab(&self, in_a: bool) -> &[M::Elem] {
+        if in_a {
+            &self.arena_a
+        } else {
+            &self.arena_b
+        }
     }
 
     /// Stages the batch in the batch-major arena and runs it through the
-    /// layer stack ([`run_layers`]), leaving the final activations in
-    /// place.
+    /// layer stack ([`run_layers`], passing `after_layer` on), leaving the
+    /// final activations in place. A wrong-sized item fails the batch
+    /// before any layer runs.
     ///
     /// Returns `(output_len, output_in_arena_a)`; item `i`'s output lives
-    /// at `arena[i * max_activation_len ..][..output_len]`. Results are
-    /// bit-identical to per-item [`Engine::infer`].
-    fn run_batch<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<(usize, bool), NnError> {
+    /// at `arena[i * max_activation_len ..][..output_len]`.
+    fn run_batch<I: AsRef<[M::Elem]>>(
+        &mut self,
+        inputs: &[I],
+        after_layer: impl FnMut(usize, usize, &mut [M::Elem]),
+    ) -> Result<(usize, bool), NnError> {
         let expected = self.model.input_shape();
+        if let Some(bad) = inputs.iter().find(|x| x.as_ref().len() != expected.len()) {
+            return Err(NnError::InputShape {
+                expected,
+                actual: bad.as_ref().len(),
+            });
+        }
         let n = inputs.len();
         let stride = self.model.max_activation_len();
         reserve_arenas(&mut self.arena_a, &mut self.arena_b, n * stride);
-        for (item, input) in inputs.iter().enumerate() {
-            let input = input.as_ref();
-            if input.len() != expected.len() {
-                return Err(NnError::InputShape {
-                    expected: self.model.input_shape(),
-                    actual: input.len(),
-                });
-            }
-            self.arena_a[item * stride..item * stride + input.len()].copy_from_slice(input);
+        for (slot, input) in self.arena_a.chunks_mut(stride).zip(inputs) {
+            slot[..expected.len()].copy_from_slice(input.as_ref());
         }
         let out = run_layers(
             &self.model,
             &mut self.arena_a,
             &mut self.arena_b,
             n,
-            |_, _, _| {},
+            after_layer,
         )?;
         self.inferences += n as u64;
         Ok(out)
@@ -247,16 +214,11 @@ impl Engine {
     ///
     /// Returns [`NnError::InputShape`] if any item has the wrong length;
     /// the whole batch fails.
-    pub fn infer_batch<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<Vec<Vec<f32>>, NnError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (out_len, in_a) = self.run_batch(inputs)?;
-        let stride = self.model.max_activation_len();
-        let slab = if in_a { &self.arena_a } else { &self.arena_b };
-        Ok((0..inputs.len())
-            .map(|item| slab[item * stride..item * stride + out_len].to_vec())
-            .collect())
+    pub fn infer_batch<I: AsRef<[M::Elem]>>(
+        &mut self,
+        inputs: &[I],
+    ) -> Result<Vec<Vec<M::Elem>>, NnError> {
+        self.map_batch(inputs, <[M::Elem]>::to_vec)
     }
 
     /// Runs the model over a batch, returning one [`Classification`] per
@@ -266,18 +228,29 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] if any item has the wrong length.
-    pub fn classify_batch<I: AsRef<[f32]>>(
+    pub fn classify_batch<I: AsRef<[M::Elem]>>(
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Classification>, NnError> {
+        self.map_batch(inputs, M::argmax)
+    }
+
+    /// Runs the batch and maps each item's final activation, in order.
+    fn map_batch<I: AsRef<[M::Elem]>, O>(
+        &mut self,
+        inputs: &[I],
+        f: impl Fn(&[M::Elem]) -> O,
+    ) -> Result<Vec<O>, NnError> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let (out_len, in_a) = self.run_batch(inputs)?;
+        let (out_len, in_a) = self.run_batch(inputs, |_, _, _| {})?;
         let stride = self.model.max_activation_len();
-        let slab = if in_a { &self.arena_a } else { &self.arena_b };
-        Ok((0..inputs.len())
-            .map(|item| argmax(&slab[item * stride..item * stride + out_len]))
+        Ok(self
+            .slab(in_a)
+            .chunks(stride)
+            .take(inputs.len())
+            .map(|item| f(&item[..out_len]))
             .collect())
     }
 }
@@ -297,17 +270,19 @@ pub(crate) fn reserve_arenas<T: Copy + Default>(
 
 /// Runs `n` items, staged at `arena_a[item * stride..][..input_len]`
 /// (`stride = model.max_activation_len()`), through every layer in the
-/// batch-major ping-pong arena — the one layer loop behind
-/// [`Engine::infer_batch`], [`crate::QEngine::infer_batch`], guard
-/// calibration and the hardened engines, for f32 and Q16.16 models alike.
+/// batch-major ping-pong arena — the one layer loop in the crate, behind
+/// [`Engine`] (single items and batches), guard calibration, the hardened
+/// engines and the trainer's forward pass, for f32 and Q16.16 models
+/// alike.
 ///
 /// Dense layers run the batched kernel (each weight row streamed once
 /// per batch); every other layer runs per item over its arena slot.
 /// After each layer, `after_layer(layer, item, activation)` sees every
 /// item's fresh output, items in order: the hook the hardened engine
 /// injects activation faults and runs its guards from. Returns
-/// `(output_len, output_in_arena_a)`. Outputs are bit-identical to
-/// per-item [`Engine::infer`].
+/// `(output_len, output_in_arena_a)`. Each item's output is the same bits
+/// whatever `n` is: the batched dense kernel's batch of one is the
+/// per-item kernel.
 pub(crate) fn run_layers<M: Domain>(
     model: &M,
     arena_a: &mut [M::Elem],

@@ -884,7 +884,7 @@ impl<M: HardenDomain> HardenedEngine<M> {
 
     /// [`HardenedEngine::calibrate`] over `f32` calibration data (a
     /// Q16.16 engine quantises each input as
-    /// [`QEngine::infer_f32`](crate::QEngine::infer_f32) would).
+    /// [`Engine::infer_f32`](crate::Engine::infer_f32) would).
     ///
     /// # Errors
     ///
@@ -1573,8 +1573,7 @@ pub(crate) mod tests {
     use crate::engine::Engine;
     use crate::fault::{ActivationFault, FaultInjector, InputFault};
     use crate::model::ModelBuilder;
-    use crate::quant::{QEngine, QModel};
-    use safex_tensor::fixed::Q16_16;
+    use crate::quant::QModel;
     use safex_tensor::{DetRng, Shape};
 
     fn model(seed: u64) -> Model {
@@ -2038,24 +2037,20 @@ pub(crate) mod tests {
     /// the domain, and the unhardened engine its outputs must match.
     pub(crate) trait Fixture: HardenDomain {
         fn build(model: Model) -> Self;
-        fn plain_infer(&self, input: &[Self::Elem]) -> Vec<Self::Elem>;
+        fn plain_infer(&self, input: &[Self::Elem]) -> Vec<Self::Elem> {
+            Engine::new(self.clone()).infer(input).unwrap().to_vec()
+        }
     }
 
     impl Fixture for Model {
         fn build(model: Model) -> Self {
             model
         }
-        fn plain_infer(&self, input: &[f32]) -> Vec<f32> {
-            Engine::new(self.clone()).infer(input).unwrap().to_vec()
-        }
     }
 
     impl Fixture for QModel {
         fn build(model: Model) -> Self {
             QModel::quantize(&model).unwrap()
-        }
-        fn plain_infer(&self, input: &[Q16_16]) -> Vec<Q16_16> {
-            QEngine::new(self.clone()).infer(input).unwrap().to_vec()
         }
     }
 

@@ -12,10 +12,15 @@
 //! * **Deterministic inference.** The [`engine::Engine`] executes a frozen
 //!   [`model::Model`] with a fixed operation order and `f64`-accumulated
 //!   kernels from [`safex_tensor::ops`]; repeated runs produce bit-identical
-//!   outputs. The quantised [`quant::QEngine`] goes further: Q16.16
-//!   fixed-point arithmetic is bit-exact across *platforms*, not just runs.
+//!   outputs. The same engine over a quantised [`quant::QModel`]
+//!   ([`QEngine`], `Engine<QModel>`) goes further: Q16.16 fixed-point
+//!   arithmetic is bit-exact across *platforms*, not just runs. One
+//!   generic engine, pool ([`EnginePool`]) and hardened engine
+//!   ([`HardenedEngine`]) serve both formats through one layer loop.
 //! * **Static allocation.** Engines pre-allocate every activation buffer at
-//!   construction; `infer` performs no heap allocation (asserted by tests).
+//!   construction; a steady-state `infer` or `classify` performs no heap
+//!   allocation, pinned at exactly zero by `tests/alloc_budget.rs` for
+//!   every engine in both formats.
 //! * **Explicit validation.** Model construction validates every layer's
 //!   shape against its predecessor and returns [`NnError`] on mismatch;
 //!   nothing panics on user data.

@@ -1,8 +1,8 @@
 //! Deterministic parallel batch inference.
 //!
-//! [`EnginePool`] (and its fixed-point twin [`QEnginePool`]) owns N
-//! per-worker engine replicas, each with its own pre-allocated activation
-//! buffers, and fans a batch out across persistent helper lanes: the
+//! [`EnginePool`] (f32 by default; [`QEnginePool`] is the same pool over
+//! a Q16.16 model) owns N per-worker engine replicas, each with its own
+//! pre-allocated activation buffers, and fans a batch out across persistent helper lanes: the
 //! caller runs the first chunk itself and N−1 long-lived helper threads
 //! run the rest.
 //!
@@ -31,12 +31,11 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use safex_tensor::fixed::Q16_16;
-
 use crate::engine::{Classification, Engine};
 use crate::error::NnError;
+use crate::harden::HardenDomain;
 use crate::model::Model;
-use crate::quant::{QEngine, QModel};
+use crate::quant::QModel;
 
 /// Stack of a helper lane. Helpers run only engine kernels, whose buffers
 /// live on the heap, so a small fixed stack keeps an idle helper cheap.
@@ -288,7 +287,8 @@ impl<W> Drop for Lanes<W> {
     }
 }
 
-/// A pool of float [`Engine`] replicas for parallel batch inference.
+/// A pool of [`Engine`] replicas for parallel batch inference: f32 by
+/// default, or [`QEnginePool`] over a Q16.16 [`QModel`].
 ///
 /// # Examples
 ///
@@ -314,11 +314,15 @@ impl<W> Drop for Lanes<W> {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct EnginePool {
-    workers: Lanes<Engine>,
+pub struct EnginePool<M: HardenDomain = Model> {
+    workers: Lanes<Engine<M>>,
 }
 
-impl EnginePool {
+/// A pool of fixed-point [`crate::QEngine`] replicas — the
+/// cross-platform-bit-exact deployment configuration.
+pub type QEnginePool = EnginePool<QModel>;
+
+impl<M: HardenDomain> EnginePool<M> {
     /// Creates a pool of `workers` engine replicas of `model`.
     ///
     /// Every replica pre-allocates its own activation buffers at
@@ -328,7 +332,7 @@ impl EnginePool {
     /// # Errors
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
-    pub fn new(model: Model, workers: usize) -> Result<Self, NnError> {
+    pub fn new(model: M, workers: usize) -> Result<Self, NnError> {
         Ok(EnginePool {
             workers: Lanes::new(workers, || Engine::new(model.clone()))?,
         })
@@ -340,7 +344,7 @@ impl EnginePool {
     }
 
     /// The shared model (all replicas are identical).
-    pub fn model(&self) -> &Model {
+    pub fn model(&self) -> &M {
         self.workers.replicas()[0].model()
     }
 
@@ -362,7 +366,10 @@ impl EnginePool {
     ///
     /// Returns [`NnError::InputShape`] if any input has the wrong element
     /// count; the whole batch fails (no partial results).
-    pub fn infer_batch<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<Vec<Vec<f32>>, NnError> {
+    pub fn infer_batch<I: AsRef<[M::Elem]>>(
+        &mut self,
+        inputs: &[I],
+    ) -> Result<Vec<Vec<M::Elem>>, NnError> {
         self.workers.dispatch(0, inputs, |engine, _, chunk, out| {
             out.extend(engine.infer_batch(chunk)?);
             Ok(())
@@ -375,70 +382,7 @@ impl EnginePool {
     ///
     /// Returns [`NnError::InputShape`] if any input has the wrong element
     /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[f32]>>(
-        &mut self,
-        inputs: &[I],
-    ) -> Result<Vec<Classification>, NnError> {
-        self.workers.dispatch(0, inputs, |engine, _, chunk, out| {
-            out.extend(engine.classify_batch(chunk)?);
-            Ok(())
-        })
-    }
-}
-
-/// A pool of fixed-point [`QEngine`] replicas for parallel batch
-/// inference — the cross-platform-bit-exact deployment configuration.
-#[derive(Debug, Clone)]
-pub struct QEnginePool {
-    workers: Lanes<QEngine>,
-}
-
-impl QEnginePool {
-    /// Creates a pool of `workers` quantised engine replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Pool`] when `workers` is zero.
-    pub fn new(model: QModel, workers: usize) -> Result<Self, NnError> {
-        Ok(QEnginePool {
-            workers: Lanes::new(workers, || QEngine::new(model.clone()))?,
-        })
-    }
-
-    /// Number of worker replicas.
-    pub fn workers(&self) -> usize {
-        self.workers.replicas().len()
-    }
-
-    /// The shared quantised model.
-    pub fn model(&self) -> &QModel {
-        self.workers.replicas()[0].model()
-    }
-
-    /// Runs the quantised model over a batch, in parallel, preserving
-    /// input order; outputs are bit-exact for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] if any input has the wrong element
-    /// count; the whole batch fails (no partial results).
-    pub fn infer_batch<I: AsRef<[Q16_16]>>(
-        &mut self,
-        inputs: &[I],
-    ) -> Result<Vec<Vec<Q16_16>>, NnError> {
-        self.workers.dispatch(0, inputs, |engine, _, chunk, out| {
-            out.extend(engine.infer_batch(chunk)?);
-            Ok(())
-        })
-    }
-
-    /// Classifies a batch, in parallel, preserving input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] if any input has the wrong element
-    /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[Q16_16]>>(
+    pub fn classify_batch<I: AsRef<[M::Elem]>>(
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Classification>, NnError> {
@@ -453,6 +397,7 @@ impl QEnginePool {
 mod tests {
     use super::*;
     use crate::model::ModelBuilder;
+    use safex_tensor::fixed::Q16_16;
     use safex_tensor::{DetRng, Shape};
 
     fn mlp(seed: u64) -> Model {

@@ -1,4 +1,11 @@
-//! Quantised (Q16.16 fixed-point) model representation and engine.
+//! Quantised (Q16.16 fixed-point) model representation and its kernels.
+//!
+//! [`QModel`] is the quantised artefact; [`QEngine`] is not a separate
+//! engine but [`Engine`] over it (and [`crate::QEnginePool`] is
+//! [`crate::EnginePool`] over it), so the f32 and Q16.16 paths share one
+//! arena and one layer loop. What lives here is Q16.16-specific: the
+//! quantiser, the layer kernels ([`softmax_q16_into`], [`exp_q16`]) and
+//! the argmax the engines reach through the crate's model-type trait.
 //!
 //! The quantised path is the strongest determinism level the library
 //! offers: every operation is integer arithmetic, so results are bit-exact
@@ -12,8 +19,9 @@ use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
 use safex_tensor::Shape;
 
-use crate::engine::{reserve_arenas, run_layers, Classification};
+use crate::engine::{Classification, Engine};
 use crate::error::NnError;
+use crate::harden::domain::Domain;
 use crate::layer::Layer;
 use crate::model::Model;
 
@@ -227,85 +235,12 @@ fn quantize_layer(layer: &Layer, index: usize) -> Result<QLayer, NnError> {
     })
 }
 
-/// Integer-only inference engine over a [`QModel`].
-///
-/// Mirrors [`crate::engine::Engine`] (two pre-allocated ping-pong buffers,
-/// no hot-path allocation) but every operation is Q16.16 integer
-/// arithmetic.
-#[derive(Debug, Clone)]
-pub struct QEngine {
-    model: QModel,
-    buf_a: Vec<Q16_16>,
-    buf_b: Vec<Q16_16>,
-    /// Batch-major ping-pong arenas (see [`crate::engine::Engine`]):
-    /// allocated on first batch use, grown on demand, reused across
-    /// layers and across calls.
-    arena_a: Vec<Q16_16>,
-    arena_b: Vec<Q16_16>,
-    inferences: u64,
-}
+/// Integer-only inference engine: [`Engine`] over a [`QModel`], the same
+/// arena and layer loop as the f32 engine with every operation Q16.16
+/// integer arithmetic.
+pub type QEngine = Engine<QModel>;
 
-impl QEngine {
-    /// Creates an engine, pre-allocating all activation buffers.
-    pub fn new(model: QModel) -> Self {
-        let cap = model.max_activation_len();
-        QEngine {
-            model,
-            buf_a: vec![Q16_16::ZERO; cap],
-            buf_b: vec![Q16_16::ZERO; cap],
-            arena_a: Vec::new(),
-            arena_b: Vec::new(),
-            inferences: 0,
-        }
-    }
-
-    /// The wrapped quantised model.
-    pub fn model(&self) -> &QModel {
-        &self.model
-    }
-
-    /// Number of completed inferences.
-    pub fn inference_count(&self) -> u64 {
-        self.inferences
-    }
-
-    /// Runs inference on a fixed-point input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn infer(&mut self, input: &[Q16_16]) -> Result<&[Q16_16], NnError> {
-        let expected = self.model.input_shape();
-        if input.len() != expected.len() {
-            return Err(NnError::InputShape {
-                expected,
-                actual: input.len(),
-            });
-        }
-        self.buf_a[..input.len()].copy_from_slice(input);
-        let mut cur_shape = expected;
-        let mut cur_in_a = true;
-        for (i, layer) in self.model.layers.iter().enumerate() {
-            let out_shape = self.model.shapes[i];
-            let (src, dst) = if cur_in_a {
-                (&self.buf_a, &mut self.buf_b)
-            } else {
-                (&self.buf_b, &mut self.buf_a)
-            };
-            run_qlayer(
-                layer,
-                &src[..cur_shape.len()],
-                &mut dst[..out_shape.len()],
-                &cur_shape,
-            )?;
-            cur_shape = out_shape;
-            cur_in_a = !cur_in_a;
-        }
-        self.inferences += 1;
-        let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-        Ok(&out[..cur_shape.len()])
-    }
-
+impl Engine<QModel> {
     /// Converts an `f32` input, runs inference, and converts the output
     /// back to `f32`. Allocates for the conversions; the integer inference
     /// in between is allocation-free.
@@ -314,95 +249,8 @@ impl QEngine {
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn infer_f32(&mut self, input: &[f32]) -> Result<Vec<f32>, NnError> {
-        let q: Vec<Q16_16> = input.iter().map(|&v| Q16_16::from_f32(v)).collect();
-        let out = self.infer(&q)?;
-        Ok(out.iter().map(|v| v.to_f32()).collect())
-    }
-
-    /// Classification convenience: returns the argmax [`Classification`]
-    /// (the Q16.16 score converted to `f32`, which is exact for the
-    /// magnitudes a classifier head produces).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] on a wrong-sized input.
-    pub fn classify(&mut self, input: &[Q16_16]) -> Result<Classification, NnError> {
-        Ok(qargmax(self.infer(input)?))
-    }
-
-    /// Runs the whole batch through the model inside the batch-major
-    /// arenas ([`crate::engine::run_layers`], the loop the f32 engine and
-    /// both hardened engines share), returning `(output_len,
-    /// output_in_arena_a)`. Bit-identical to a per-item [`QEngine::infer`]
-    /// loop: integer arithmetic has no ordering latitude at all.
-    fn run_batch<I: AsRef<[Q16_16]>>(&mut self, inputs: &[I]) -> Result<(usize, bool), NnError> {
-        let n = inputs.len();
-        let stride = self.model.max_activation_len();
-        reserve_arenas(&mut self.arena_a, &mut self.arena_b, n * stride);
-        let expected_len = self.model.input_shape().len();
-        for (item, input) in inputs.iter().enumerate() {
-            let input = input.as_ref();
-            if input.len() != expected_len {
-                return Err(NnError::InputShape {
-                    expected: self.model.input_shape(),
-                    actual: input.len(),
-                });
-            }
-            self.arena_a[item * stride..item * stride + expected_len].copy_from_slice(input);
-        }
-        let out = run_layers(
-            &self.model,
-            &mut self.arena_a,
-            &mut self.arena_b,
-            n,
-            |_, _, _| {},
-        )?;
-        self.inferences += n as u64;
-        Ok(out)
-    }
-
-    /// Runs inference over a batch, one arena allocation for the whole
-    /// call (amortised to zero across calls).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] if any input has the wrong element
-    /// count; the whole batch fails (no partial results).
-    pub fn infer_batch<I: AsRef<[Q16_16]>>(
-        &mut self,
-        inputs: &[I],
-    ) -> Result<Vec<Vec<Q16_16>>, NnError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (out_len, in_a) = self.run_batch(inputs)?;
-        let stride = self.model.max_activation_len();
-        let slab = if in_a { &self.arena_a } else { &self.arena_b };
-        Ok((0..inputs.len())
-            .map(|item| slab[item * stride..item * stride + out_len].to_vec())
-            .collect())
-    }
-
-    /// Classifies a batch, reading each argmax straight from the arena —
-    /// no per-item output copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShape`] if any input has the wrong element
-    /// count; the whole batch fails (no partial results).
-    pub fn classify_batch<I: AsRef<[Q16_16]>>(
-        &mut self,
-        inputs: &[I],
-    ) -> Result<Vec<Classification>, NnError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (out_len, in_a) = self.run_batch(inputs)?;
-        let stride = self.model.max_activation_len();
-        let slab = if in_a { &self.arena_a } else { &self.arena_b };
-        Ok((0..inputs.len())
-            .map(|item| qargmax(&slab[item * stride..item * stride + out_len]))
-            .collect())
+        let input = QModel::from_f32(input);
+        Ok(self.infer(&input)?.iter().map(|v| v.to_f32()).collect())
     }
 }
 

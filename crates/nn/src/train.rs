@@ -14,7 +14,7 @@
 
 use safex_tensor::{DetRng, Shape};
 
-use crate::engine::run_layer;
+use crate::engine::run_layers;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
@@ -286,19 +286,20 @@ fn accumulate_sample(
             actual: input.len(),
         });
     }
-    // Forward pass, caching activations: acts[0] = input, acts[i+1] = layer i output.
+    // Forward pass through the engine's layer loop, caching activations:
+    // acts[0] = input, acts[i+1] = layer i output.
     let n = model.len();
+    let stride = model.max_activation_len();
+    let (mut arena_a, mut arena_b) = (vec![0.0f32; stride], vec![0.0f32; stride]);
+    arena_a[..input.len()].copy_from_slice(input);
     let mut acts: Vec<Vec<f32>> = Vec::with_capacity(n + 1);
     acts.push(input.to_vec());
-    let mut shapes: Vec<Shape> = Vec::with_capacity(n + 1);
-    shapes.push(input_shape);
-    for (i, layer) in model.layers().iter().enumerate() {
-        let out_shape = model.layer_output_shape(i).expect("index in range");
-        let mut out = vec![0.0f32; out_shape.len()];
-        run_layer(layer, &acts[i], &mut out, &shapes[i])?;
-        acts.push(out);
-        shapes.push(out_shape);
-    }
+    run_layers(model, &mut arena_a, &mut arena_b, 1, |_, _, out| {
+        acts.push(out.to_vec());
+    })?;
+    let shapes: Vec<Shape> = std::iter::once(input_shape)
+        .chain((0..n).map(|i| model.layer_output_shape(i).expect("index in range")))
+        .collect();
 
     // Loss: cross-entropy against the softmax output.
     let probs = &acts[n];

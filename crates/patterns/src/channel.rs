@@ -2,8 +2,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use safex_nn::{Engine, HardenDomain, HardenedEngine, Model, QEngine, QModel};
-use safex_tensor::fixed::Q16_16;
+use safex_nn::{Classification, Engine, HardenDomain, HardenedEngine, Model, QModel};
 
 use crate::error::PatternError;
 
@@ -42,16 +41,25 @@ pub trait Channel: Send {
     fn decide(&mut self, input: &[f32]) -> Result<ChannelVerdict, PatternError>;
 }
 
-/// A DL channel wrapping a float inference engine.
+/// A DL channel wrapping an inference [`Engine`].
+///
+/// Generic over the engine's model type: `ModelChannel` (f32, the
+/// default) or [`QuantChannel`] (Q16.16, which quantises each `f32`
+/// input first).
 #[derive(Debug)]
-pub struct ModelChannel {
+pub struct ModelChannel<M: HardenDomain = Model> {
     name: String,
-    engine: Engine,
+    engine: Engine<M>,
 }
 
-impl ModelChannel {
+/// A DL channel wrapping the quantised (Q16.16) inference engine —
+/// a *diverse implementation* of the same model, which is exactly what
+/// 2-out-of-3 patterns want as a second opinion.
+pub type QuantChannel = ModelChannel<QModel>;
+
+impl<M: HardenDomain> ModelChannel<M> {
     /// Wraps an engine as a channel.
-    pub fn new(name: impl Into<String>, engine: Engine) -> Self {
+    pub fn new(name: impl Into<String>, engine: Engine<M>) -> Self {
         ModelChannel {
             name: name.into(),
             engine,
@@ -59,41 +67,34 @@ impl ModelChannel {
     }
 
     /// Immutable access to the wrapped engine.
-    pub fn engine(&self) -> &Engine {
+    pub fn engine(&self) -> &Engine<M> {
         &self.engine
-    }
-
-    /// Mutable access to the wrapped engine (e.g. for fault injection on
-    /// weights).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 }
 
-impl Channel for ModelChannel {
+impl<M: HardenDomain> Channel for ModelChannel<M> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn decide(&mut self, input: &[f32]) -> Result<ChannelVerdict, PatternError> {
-        let out = self.engine.infer(input)?;
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, &v) in out.iter().enumerate() {
-            if v > best.1 {
-                best = (i, v);
-            }
-        }
-        if !best.1.is_finite() {
-            return Err(PatternError::ChannelFault(format!(
-                "channel {} produced non-finite confidence",
-                self.name
-            )));
-        }
-        Ok(ChannelVerdict {
-            class: best.0,
-            confidence: best.1,
-        })
+        verdict(&self.name, self.engine.classify_f32(input)?)
     }
+}
+
+/// A DL channel's verdict from its engine's classification; a
+/// non-finite confidence (a poisoned f32 model — Q16.16 scores are always
+/// finite) is a [`PatternError::ChannelFault`].
+fn verdict(name: &str, c: Classification) -> Result<ChannelVerdict, PatternError> {
+    if !c.confidence.is_finite() {
+        return Err(PatternError::ChannelFault(format!(
+            "channel {name} produced non-finite confidence"
+        )));
+    }
+    Ok(ChannelVerdict {
+        class: c.class,
+        confidence: c.confidence,
+    })
 }
 
 /// A DL channel wrapping a [`HardenedEngine`]: inference plus runtime
@@ -175,50 +176,7 @@ impl<M: HardenDomain> Channel for HardenedChannel<M> {
             .lock()
             .expect("hardened engine poisoned")
             .classify_f32(input)?;
-        if !c.confidence.is_finite() {
-            return Err(PatternError::ChannelFault(format!(
-                "channel {} produced non-finite confidence",
-                self.name
-            )));
-        }
-        Ok(ChannelVerdict {
-            class: c.class,
-            confidence: c.confidence,
-        })
-    }
-}
-
-/// A DL channel wrapping the quantised (Q16.16) inference engine —
-/// a *diverse implementation* of the same model, which is exactly what
-/// 2-out-of-3 patterns want as a second opinion.
-#[derive(Debug)]
-pub struct QuantChannel {
-    name: String,
-    engine: QEngine,
-}
-
-impl QuantChannel {
-    /// Wraps a quantised engine as a channel.
-    pub fn new(name: impl Into<String>, engine: QEngine) -> Self {
-        QuantChannel {
-            name: name.into(),
-            engine,
-        }
-    }
-}
-
-impl Channel for QuantChannel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decide(&mut self, input: &[f32]) -> Result<ChannelVerdict, PatternError> {
-        let q: Vec<Q16_16> = input.iter().map(|&v| Q16_16::from_f32(v)).collect();
-        let c = self.engine.classify(&q)?;
-        Ok(ChannelVerdict {
-            class: c.class,
-            confidence: c.confidence,
-        })
+        verdict(&self.name, c)
     }
 }
 
@@ -296,7 +254,7 @@ impl Channel for ConstantChannel {
 mod tests {
     use super::*;
     use safex_nn::model::ModelBuilder;
-    use safex_nn::HardenedQEngine;
+    use safex_nn::{HardenedQEngine, QEngine};
     use safex_tensor::{DetRng, Shape};
 
     fn engine(seed: u64) -> Engine {

@@ -530,11 +530,6 @@ impl Cascade {
     pub fn current_level(&self) -> usize {
         self.current
     }
-
-    /// Number of levels.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 impl SafetyPattern for Cascade {

@@ -18,35 +18,6 @@
 use crate::error::TensorError;
 use crate::fixed::Q16_16;
 
-/// `out = a (m x k) * b (k x n)`, row-major, f64 accumulation.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if any slice length disagrees
-/// with the stated dimensions.
-pub fn matmul_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<(), TensorError> {
-    check_len(a, m * k)?;
-    check_len(b, k * n)?;
-    check_len(out, m * n)?;
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f64;
-            for p in 0..k {
-                acc += a[i * k + p] as f64 * b[p * n + j] as f64;
-            }
-            out[i * n + j] = acc as f32;
-        }
-    }
-    Ok(())
-}
-
 /// Dense (fully-connected) layer: `out = w (outputs x inputs) * x + bias`.
 ///
 /// Strict left-to-right f64 accumulation: one chain per output, seeded
@@ -768,23 +739,6 @@ fn check_len<T>(slice: &[T], expected: usize) -> Result<(), TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matmul_into_basic() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
-        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0]; // 3x2
-        let mut out = [0.0; 4];
-        matmul_into(&a, &b, &mut out, 2, 3, 2).unwrap();
-        assert_eq!(out, [58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_into_rejects_bad_lengths() {
-        let a = [1.0; 5];
-        let b = [1.0; 6];
-        let mut out = [0.0; 4];
-        assert!(matmul_into(&a, &b, &mut out, 2, 3, 2).is_err());
-    }
 
     #[test]
     fn dense_into_matches_manual() {

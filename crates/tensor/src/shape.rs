@@ -149,11 +149,6 @@ impl Shape {
         }
         Ok(flat)
     }
-
-    /// Whether two shapes have identical rank and dimensions.
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self == other
-    }
 }
 
 impl fmt::Display for Shape {

@@ -131,11 +131,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -171,13 +166,6 @@ impl Tensor {
         Tensor {
             shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies a function to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

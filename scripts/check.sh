@@ -3,7 +3,8 @@
 # Mirrors what CI would run; keep it green before pushing.
 #
 # Usage:
-#   scripts/check.sh              # full gate: fmt, clippy, benches, tests,
+#   scripts/check.sh              # full gate: fmt, clippy, rustdoc with
+#                                 # warnings as errors, benches, tests,
 #                                 # the safexbench package's tests,
 #                                 # quick bench + hardening-overhead perf
 #                                 # smoke (Full CRC every decision <= 2x bare)
@@ -65,6 +66,9 @@ if [[ "$TESTS_ONLY" == 0 ]]; then
 
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
     echo "==> cargo build --benches"
     cargo build --benches
