@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use safex_bench::workload;
 use safex_core::campaign::{self, CampaignConfig, CampaignPattern, FaultClass, InputSupervision};
-use safex_nn::{CrcStrategy, Engine, HardenConfig, HardenedEngine};
+use safex_nn::{Engine, HardenConfig, HardenedEngine};
 
 fn inputs() -> Vec<Vec<f32>> {
     let (_, test, _, _) = workload();
@@ -158,18 +158,15 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(plain.classify(x).expect("classify"))
         })
     });
-    for (name, cadence, strategy) in [
-        ("crc_every_decision", 1u64, CrcStrategy::Full),
-        ("crc_cadence_8", 8, CrcStrategy::Full),
-        ("crc_rotating_every_decision", 1, CrcStrategy::Rotating),
-        ("crc_rotating_cadence_8", 8, CrcStrategy::Rotating),
-        ("guards_only", 0, CrcStrategy::Full),
+    for (name, cadence) in [
+        ("crc_every_decision", 1u64),
+        ("crc_cadence_8", 8),
+        ("guards_only", 0),
     ] {
         let mut engine = HardenedEngine::new(
             model.clone(),
             HardenConfig {
                 crc_cadence: cadence,
-                crc_strategy: strategy,
                 ..HardenConfig::default()
             },
         )

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use safex_bench::workload;
 use safex_core::campaign::{self, CampaignConfig, CampaignPattern, FaultClass};
 use safex_core::health::HealthConfig;
-use safex_nn::{CrcStrategy, EccConfig, HardenConfig, HardenedEngine};
+use safex_nn::{EccConfig, HardenConfig, HardenedEngine};
 
 fn inputs() -> Vec<Vec<f32>> {
     let (_, test, _, _) = workload();
@@ -116,7 +116,6 @@ fn bench(c: &mut Criterion) {
             model.clone(),
             HardenConfig {
                 crc_cadence: 1,
-                crc_strategy: CrcStrategy::Full,
                 repair: repair.then(EccConfig::default),
                 ..HardenConfig::default()
             },

@@ -9,24 +9,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safex_bench::workload;
-use safex_nn::{CrcStrategy, Engine, HardenConfig, HardenedEngine};
+use safex_nn::{Engine, HardenConfig, HardenedEngine};
 
 fn inputs() -> Vec<Vec<f32>> {
     let (_, test, _, _) = workload();
     test.samples().iter().map(|s| s.input.clone()).collect()
 }
 
-fn hardened(strategy: CrcStrategy, cadence: u64, stream: &[Vec<f32>]) -> HardenedEngine {
+fn hardened(stream: &[Vec<f32>]) -> HardenedEngine {
     let (_, _, model, _) = workload();
-    let mut engine = HardenedEngine::new(
-        model.clone(),
-        HardenConfig {
-            crc_cadence: cadence,
-            crc_strategy: strategy,
-            ..HardenConfig::default()
-        },
-    )
-    .expect("harden");
+    let mut engine = HardenedEngine::new(model.clone(), HardenConfig::default()).expect("harden");
     engine.calibrate(stream).expect("calibrate");
     engine
 }
@@ -47,20 +39,15 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(plain.classify(x).expect("classify"))
         })
     });
-    for (name, strategy, cadence) in [
-        ("full_every_decision", CrcStrategy::Full, 1u64),
-        ("rotating_cadence_8", CrcStrategy::Rotating, 8),
-    ] {
-        let mut engine = hardened(strategy, cadence, &stream);
-        group.bench_function(name, |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let x = &stream[i % stream.len()];
-                i += 1;
-                std::hint::black_box(engine.classify(x).expect("classify"))
-            })
-        });
-    }
+    let mut engine = hardened(&stream);
+    group.bench_function("full_every_decision", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let x = &stream[i % stream.len()];
+            i += 1;
+            std::hint::black_box(engine.classify(x).expect("classify"))
+        })
+    });
 
     // Batch-major arena: 16 requests served one at a time vs as one
     // batch through the ping-pong slab (same engine, same answers —

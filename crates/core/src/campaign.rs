@@ -766,27 +766,25 @@ mod tests {
     #[test]
     fn cells_report_the_crc_staleness_bound() {
         let (model, inputs) = fixture();
-        // Full strategy on cadence 1: bound is 1 decision.
+        // Cadence 1: bound is 1 decision.
         let report = run(&quick_config(), &model, &inputs).unwrap();
         assert!(report
             .cells
             .iter()
             .all(|c| c.crc_staleness_bound == Some(1)));
-        // Rotating over this model's 2 parametric layers on cadence 2:
-        // bound is 4 decisions.
-        let rotating = CampaignConfig {
+        // Every layer checked every second decision: bound is 2.
+        let cadence2 = CampaignConfig {
             harden: HardenConfig {
                 crc_cadence: 2,
-                crc_strategy: safex_nn::CrcStrategy::Rotating,
                 ..HardenConfig::default()
             },
             ..quick_config()
         };
-        let report = run(&rotating, &model, &inputs).unwrap();
+        let report = run(&cadence2, &model, &inputs).unwrap();
         assert!(report
             .cells
             .iter()
-            .all(|c| c.crc_staleness_bound == Some(4)));
+            .all(|c| c.crc_staleness_bound == Some(2)));
         // CRC disabled: no bound.
         let disabled = CampaignConfig {
             harden: HardenConfig {
@@ -800,9 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn rotating_campaign_is_byte_identical_for_any_worker_count() {
-        // The rotation cursor is a pure function of the global decision
-        // index, so it must survive parallel cell execution too.
+    fn cadence_campaign_is_byte_identical_for_any_worker_count() {
+        // The CRC schedule is a pure function of the global decision
+        // index, so off-cadence decisions must survive parallel cell
+        // execution too.
         let (model, inputs) = fixture();
         let config = CampaignConfig {
             decisions: 60,
@@ -810,8 +809,7 @@ mod tests {
             rates: vec![0.2],
             patterns: vec![CampaignPattern::Bare, CampaignPattern::MonitorActuator],
             harden: HardenConfig {
-                crc_cadence: 1,
-                crc_strategy: safex_nn::CrcStrategy::Rotating,
+                crc_cadence: 2,
                 ..HardenConfig::default()
             },
             ..quick_config()

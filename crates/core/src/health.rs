@@ -431,8 +431,16 @@ impl HealthMonitor {
                 ladder.decisions
             ));
         }
-        if u64::from(ladder.clean_streak) > ladder.decisions {
-            return bad("clean streak exceeds the decision count".into());
+        // Producibility: every transition leaves the streak at 0 (an
+        // escalating decision is unhealthy; de-escalation and `force`
+        // reset it), so the streak counts at most the decisions since the
+        // last one.
+        let since = ladder.decisions - ladder.transitions.last().map_or(0, |t| t.at_decision);
+        if u64::from(ladder.clean_streak) > since {
+            return bad(format!(
+                "clean streak {} exceeds the {since} decisions since the last transition",
+                ladder.clean_streak
+            ));
         }
         // Producibility: after d decisions only the low min(d, window)
         // history bits can be set — each decision shifts exactly one bit
@@ -462,8 +470,9 @@ impl HealthMonitor {
         }
         // Producibility: a resting state never sits at or above the
         // threshold that would have moved it — the decision that reached
-        // the threshold transitioned then and there, and de-escalation
-        // clears the window on the way down.
+        // the threshold (unhealthy count or clean streak) transitioned
+        // then and there, and de-escalation clears the window on the way
+        // down.
         let count = ladder.history.count_ones();
         match ladder.state {
             HealthState::Nominal if count >= config.degrade_events => {
@@ -476,6 +485,20 @@ impl HealthMonitor {
                 return bad(format!(
                     "degraded ladder with {count} unhealthy decisions in window (stops at {})",
                     config.stop_events
+                ));
+            }
+            HealthState::Degraded if ladder.clean_streak >= config.recover_after => {
+                return bad(format!(
+                    "degraded ladder with a clean streak of {} (recovers at {})",
+                    ladder.clean_streak, config.recover_after
+                ));
+            }
+            HealthState::SafeStop
+                if config.resume_after > 0 && ladder.clean_streak >= config.resume_after =>
+            {
+                return bad(format!(
+                    "safe-stopped ladder with a clean streak of {} (resumes at {})",
+                    ladder.clean_streak, config.resume_after
                 ));
             }
             _ => {}
@@ -1025,6 +1048,114 @@ mod tests {
 
         // The genuine export still restores after all added checks.
         assert!(HealthMonitor::restore(quick(), good).is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_a_resting_rung_whose_streak_has_reached_its_threshold() {
+        // A saturated streak (2³² clean decisions) is producible only on
+        // a rung it cannot move: Nominal, or a latched SafeStop.
+        let decisions = (1u64 << 32) + 4;
+        let probe = |state: HealthState, transitions: Vec<Transition>| LadderState {
+            state,
+            history: 0,
+            warn_history: 0,
+            clean_streak: u32::MAX,
+            decisions,
+            time_in: [decisions - 4, 2, 2],
+            transitions,
+        };
+        let to_degraded = Transition {
+            from: HealthState::Nominal,
+            to: HealthState::Degraded,
+            at_decision: 2,
+        };
+        let to_stop = Transition {
+            from: HealthState::Degraded,
+            to: HealthState::SafeStop,
+            at_decision: 4,
+        };
+
+        let mut nominal = HealthMonitor::restore(quick(), probe(HealthState::Nominal, Vec::new()))
+            .expect("a saturated nominal streak is producible");
+        assert_eq!(nominal.step(false), None);
+        assert_eq!(nominal.clean_streak(), u32::MAX, "the streak saturates");
+
+        let degraded = probe(HealthState::Degraded, vec![to_degraded]);
+        assert!(HealthMonitor::restore(quick(), degraded).is_err());
+        let stopped = probe(HealthState::SafeStop, vec![to_degraded, to_stop]);
+        assert!(HealthMonitor::restore(quick(), stopped.clone()).is_err());
+        let latched = HealthConfig {
+            resume_after: 0,
+            ..quick()
+        };
+        assert!(HealthMonitor::restore(latched, stopped).is_ok());
+
+        // The threshold itself is the first unproducible streak.
+        let at = |state, streak, transitions| LadderState {
+            clean_streak: streak,
+            decisions: 20,
+            time_in: [2, 2, 16],
+            ..probe(state, transitions)
+        };
+        let config = quick();
+        let cases = [
+            (
+                HealthState::Degraded,
+                config.recover_after,
+                vec![to_degraded],
+            ),
+            (
+                HealthState::SafeStop,
+                config.resume_after,
+                vec![to_degraded, to_stop],
+            ),
+        ];
+        for (state, threshold, transitions) in cases {
+            let below = at(state, threshold - 1, transitions.clone());
+            assert!(HealthMonitor::restore(config, below).is_ok(), "{state}");
+            let reached = at(state, threshold, transitions);
+            assert!(HealthMonitor::restore(config, reached).is_err(), "{state}");
+        }
+    }
+
+    #[test]
+    fn restore_bounds_the_streak_by_the_decisions_since_the_last_transition() {
+        // Degraded at decision 2, recovered at decision 6: four clean
+        // decisions later the streak is 4, never more.
+        let ladder = |clean_streak| LadderState {
+            state: HealthState::Nominal,
+            history: 0,
+            warn_history: 0,
+            clean_streak,
+            decisions: 10,
+            time_in: [6, 4, 0],
+            transitions: vec![
+                Transition {
+                    from: HealthState::Nominal,
+                    to: HealthState::Degraded,
+                    at_decision: 2,
+                },
+                Transition {
+                    from: HealthState::Degraded,
+                    to: HealthState::Nominal,
+                    at_decision: 6,
+                },
+            ],
+        };
+        assert!(HealthMonitor::restore(quick(), ladder(4)).is_ok());
+        assert!(HealthMonitor::restore(quick(), ladder(5)).is_err());
+
+        // The same walk, stepped for real, exports exactly that bound.
+        let mut m = monitor(quick());
+        m.step(true);
+        m.step(true); // degraded at 2
+        for _ in 0..7 {
+            m.step(false); // recovers at 5
+        }
+        let exported = m.export_state();
+        let last = exported.transitions.last().expect("recovered").at_decision;
+        assert_eq!(u64::from(exported.clean_streak), exported.decisions - last);
+        assert!(HealthMonitor::restore(quick(), exported).is_ok());
     }
 
     #[test]

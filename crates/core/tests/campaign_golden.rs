@@ -1,5 +1,5 @@
 //! Golden snapshot: the campaign report is byte-identical for any
-//! worker count, for both CRC strategies, with and without ECC repair —
+//! worker count, with and without ECC repair —
 //! and its canonical digest is pinned so a refactor cannot silently
 //! shift the measured numbers.
 
@@ -7,7 +7,7 @@ use safex_core::campaign::{run, CampaignConfig, CampaignPattern, FaultClass};
 use safex_core::health::HealthConfig;
 use safex_core::CampaignReport;
 use safex_nn::model::ModelBuilder;
-use safex_nn::{CrcStrategy, EccConfig, HardenConfig, Model};
+use safex_nn::{EccConfig, HardenConfig, Model};
 use safex_tensor::{DetRng, Shape};
 
 fn fixture() -> (Model, Vec<Vec<f32>>) {
@@ -27,7 +27,7 @@ fn fixture() -> (Model, Vec<Vec<f32>>) {
     (model, inputs)
 }
 
-fn config(strategy: CrcStrategy, repair: bool, workers: usize) -> CampaignConfig {
+fn config(repair: bool, workers: usize) -> CampaignConfig {
     CampaignConfig {
         seed: 9,
         decisions: 120,
@@ -35,7 +35,6 @@ fn config(strategy: CrcStrategy, repair: bool, workers: usize) -> CampaignConfig
         rates: vec![0.1],
         patterns: vec![CampaignPattern::MonitorActuator],
         harden: HardenConfig {
-            crc_strategy: strategy,
             repair: repair.then(EccConfig::default),
             ..HardenConfig::default()
         },
@@ -84,31 +83,29 @@ fn digest(report: &CampaignReport) -> u64 {
 #[test]
 fn campaign_report_is_byte_identical_across_workers_and_pinned() {
     let (model, inputs) = fixture();
-    // Golden digests, one per (strategy, repair) corner, computed from
+    // Golden digests, one without and one with ECC repair, computed from
     // the sequential reference run. These pin the measured campaign
     // numbers: any behavioural drift in injection, detection, repair, or
     // accounting shows up as a digest mismatch here.
-    let golden: [(CrcStrategy, bool, u64); 4] = [
-        (CrcStrategy::Full, false, 0xba02_e9c6_c661_7f2a),
-        (CrcStrategy::Full, true, 0xc04a_974e_e1f8_eda0),
-        (CrcStrategy::Rotating, false, 0x666d_ae23_9d95_e7b8),
-        (CrcStrategy::Rotating, true, 0xe9f4_6dc9_f307_9302),
+    let golden: [(bool, u64); 2] = [
+        (false, 0xba02_e9c6_c661_7f2a),
+        (true, 0xc04a_974e_e1f8_eda0),
     ];
-    for (strategy, repair, pinned) in golden {
-        let reference = run(&config(strategy, repair, 1), &model, &inputs).unwrap();
+    for (repair, pinned) in golden {
+        let reference = run(&config(repair, 1), &model, &inputs).unwrap();
         assert_eq!(
             digest(&reference),
             pinned,
-            "golden digest drifted for {strategy:?}, repair={repair}: \
+            "golden digest drifted for repair={repair}: \
              got {:#018x}",
             digest(&reference)
         );
         for workers in [2usize, 4, 8] {
-            let parallel = run(&config(strategy, repair, workers), &model, &inputs).unwrap();
+            let parallel = run(&config(repair, workers), &model, &inputs).unwrap();
             assert_eq!(
                 parallel, reference,
                 "{workers}-worker report diverged from sequential \
-                 ({strategy:?}, repair={repair})"
+                 (repair={repair})"
             );
             assert_eq!(digest(&parallel), pinned);
         }

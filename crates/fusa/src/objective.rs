@@ -179,19 +179,6 @@ impl ObjectiveLedger {
             .count();
         verified as f64 / registry.len() as f64
     }
-
-    /// `(pending, passed, failed)` counts.
-    pub fn status_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0usize, 0usize, 0usize);
-        for o in &self.objectives {
-            match o.status {
-                ObjectiveStatus::Pending => counts.0 += 1,
-                ObjectiveStatus::Passed(_) => counts.1 += 1,
-                ObjectiveStatus::Failed(_) => counts.2 += 1,
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +234,6 @@ mod tests {
 
         ledger.fail(o3, "bound exceeded").unwrap();
         assert!(!ledger.requirement_verified(b));
-        assert_eq!(ledger.status_counts(), (0, 2, 1));
     }
 
     #[test]

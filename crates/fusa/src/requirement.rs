@@ -87,15 +87,6 @@ impl Registry {
         self.requirements.get(id.0)
     }
 
-    /// Finds a requirement by its external tag.
-    pub fn by_tag(&self, tag: &str) -> Option<(RequirementId, &Requirement)> {
-        self.requirements
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.tag == tag)
-            .map(|(i, r)| (RequirementId(i), r))
-    }
-
     /// All requirements with their ids.
     pub fn iter(&self) -> impl Iterator<Item = (RequirementId, &Requirement)> {
         self.requirements
@@ -171,18 +162,6 @@ impl Registry {
         Ok(())
     }
 
-    /// Validates every requirement's decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation.
-    pub fn validate_all(&self) -> Result<(), FusaError> {
-        for (id, _) in self.iter() {
-            self.validate_decomposition(id)?;
-        }
-        Ok(())
-    }
-
     /// Requirement count per SIL level, indexed `[SIL1, SIL2, SIL3, SIL4]`.
     pub fn sil_histogram(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
@@ -210,8 +189,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(reg.get(id).unwrap().tag, "R1");
-        assert_eq!(reg.by_tag("R1").unwrap().0, id);
-        assert!(reg.by_tag("R9").is_none());
         assert_eq!(reg.len(), 1);
     }
 
@@ -264,7 +241,6 @@ mod tests {
         )
         .unwrap();
         reg.validate_decomposition(top).unwrap();
-        reg.validate_all().unwrap();
     }
 
     #[test]

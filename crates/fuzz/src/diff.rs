@@ -6,17 +6,15 @@
 //! agreement. Three pairs are pinned here, each an equivalence the
 //! workspace already claims elsewhere (golden digests, bench sweeps):
 //!
-//! 1. A [`CrcStrategy::Rotating`] [`HardenedPool`] at worker counts
-//!    {1, 2, 4, 8} — results (outputs *and* health events) must not
-//!    depend on scheduling.
+//! 1. A [`HardenedPool`] checking CRCs every second decision, at worker
+//!    counts {1, 2, 4, 8} — results (outputs *and* health events) must
+//!    not depend on scheduling.
 //! 2. Detect-only vs ECC-repaired engines on clean weights — the repair
 //!    sidecar must be output-invisible until a fault actually fires.
 //! 3. f32 vs Q16.16 engines — the class decision must agree wherever
 //!    the f32 top-1/top-2 margin clears a quantization guard band.
 
-use safex_nn::{
-    CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, HardenedPool, QEngine, QModel,
-};
+use safex_nn::{EccConfig, Engine, HardenConfig, HardenedEngine, HardenedPool, QEngine, QModel};
 use safex_tensor::DetRng;
 
 use crate::gen;
@@ -34,16 +32,10 @@ pub struct DiffFinding {
     pub detail: String,
 }
 
-fn engine_with(
-    strategy: CrcStrategy,
-    cadence: u64,
-    repair: bool,
-    seed: u64,
-) -> (HardenedEngine, Vec<Vec<f32>>) {
+fn engine_with(cadence: u64, repair: bool, seed: u64) -> (HardenedEngine, Vec<Vec<f32>>) {
     let (model, inputs) = gen::small_model(seed);
     let config = HardenConfig {
         crc_cadence: cadence,
-        crc_strategy: strategy,
         repair: repair.then(EccConfig::default),
         ..HardenConfig::default()
     };
@@ -59,11 +51,12 @@ fn fuzz_inputs(seed: u64, n: usize, dim: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Rotating-CRC pool at worker counts {1, 2, 4, 8}: the batch report
-/// must be independent of the worker count.
+/// Pool checking CRCs every second decision, at worker counts
+/// {1, 2, 4, 8}: the batch report must be independent of the worker
+/// count.
 pub fn diff_pool_workers(seed: u64, cases: usize) -> (u64, Vec<DiffFinding>) {
     let mut findings = Vec::new();
-    let (engine, _) = engine_with(CrcStrategy::Rotating, 2, false, seed);
+    let (engine, _) = engine_with(2, false, seed);
     let inputs = fuzz_inputs(seed, cases, 6);
     let reference = HardenedPool::new(&engine, 1)
         .expect("pool")
@@ -94,8 +87,8 @@ pub fn diff_pool_workers(seed: u64, cases: usize) -> (u64, Vec<DiffFinding>) {
 /// Detect-only vs ECC-repaired engines on clean weights.
 pub fn diff_plain_vs_repaired(seed: u64, cases: usize) -> (u64, Vec<DiffFinding>) {
     let mut findings = Vec::new();
-    let (mut plain, _) = engine_with(CrcStrategy::Full, 1, false, seed);
-    let (mut repaired, _) = engine_with(CrcStrategy::Full, 1, true, seed);
+    let (mut plain, _) = engine_with(1, false, seed);
+    let (mut repaired, _) = engine_with(1, true, seed);
     for (i, input) in fuzz_inputs(seed, cases, 6).iter().enumerate() {
         let a = plain.classify_indexed(i as u64, input).expect("plain");
         let b = repaired

@@ -85,7 +85,7 @@ impl Engine<Model> {
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn infer_traced(&mut self, input: &[f32]) -> Result<Vec<Tensor>, NnError> {
         let mut activations = Vec::with_capacity(self.model.len());
-        self.run_batch(&[input], |_, _, activation| {
+        self.run_batch(&[input], <[f32]>::copy_from_slice, |_, _, activation| {
             activations.push(activation.to_vec());
         })?;
         activations
@@ -130,7 +130,15 @@ impl<M: HardenDomain> Engine<M> {
     /// Returns [`NnError::InputShape`] if `input.len()` differs from the
     /// model's input element count.
     pub fn infer(&mut self, input: &[M::Elem]) -> Result<&[M::Elem], NnError> {
-        let (len, in_a) = self.run_batch(&[input], |_, _, _| {})?;
+        let (len, in_a) = self.run_batch(&[input], <[M::Elem]>::copy_from_slice, |_, _, _| {})?;
+        Ok(&self.slab(in_a)[..len])
+    }
+
+    /// [`Engine::infer`] of an `f32` input, converted straight into the
+    /// input arena (a Q16.16 engine quantises it there), so this
+    /// allocates nothing either.
+    pub(crate) fn infer_from_f32(&mut self, input: &[f32]) -> Result<&[M::Elem], NnError> {
+        let (len, in_a) = self.run_batch(&[input], M::copy_from_f32, |_, _, _| {})?;
         Ok(&self.slab(in_a)[..len])
     }
 
@@ -153,8 +161,7 @@ impl<M: HardenDomain> Engine<M> {
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn classify_f32(&mut self, input: &[f32]) -> Result<Classification, NnError> {
-        let input = M::from_f32(input);
-        self.classify(&input)
+        Ok(M::argmax(self.infer_from_f32(input)?))
     }
 
     /// The arena holding the final activations of the last run.
@@ -166,16 +173,18 @@ impl<M: HardenDomain> Engine<M> {
         }
     }
 
-    /// Stages the batch in the batch-major arena and runs it through the
-    /// layer stack ([`run_layers`], passing `after_layer` on), leaving the
-    /// final activations in place. A wrong-sized item fails the batch
-    /// before any layer runs.
+    /// Stages the batch in the batch-major arena (`write` puts each item
+    /// into its slot: a copy, or a conversion from `f32`) and runs
+    /// it through the layer stack ([`run_layers`], passing `after_layer`
+    /// on), leaving the final activations in place. A wrong-sized item
+    /// fails the batch before any layer runs.
     ///
     /// Returns `(output_len, output_in_arena_a)`; item `i`'s output lives
     /// at `arena[i * max_activation_len ..][..output_len]`.
-    fn run_batch<I: AsRef<[M::Elem]>>(
+    fn run_batch<T, I: AsRef<[T]>>(
         &mut self,
         inputs: &[I],
+        write: impl Fn(&mut [M::Elem], &[T]),
         after_layer: impl FnMut(usize, usize, &mut [M::Elem]),
     ) -> Result<(usize, bool), NnError> {
         let expected = self.model.input_shape();
@@ -189,7 +198,7 @@ impl<M: HardenDomain> Engine<M> {
         let stride = self.model.max_activation_len();
         reserve_arenas(&mut self.arena_a, &mut self.arena_b, n * stride);
         for (slot, input) in self.arena_a.chunks_mut(stride).zip(inputs) {
-            slot[..expected.len()].copy_from_slice(input.as_ref());
+            write(&mut slot[..expected.len()], input.as_ref());
         }
         let out = run_layers(
             &self.model,
@@ -244,7 +253,7 @@ impl<M: HardenDomain> Engine<M> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let (out_len, in_a) = self.run_batch(inputs, |_, _, _| {})?;
+        let (out_len, in_a) = self.run_batch(inputs, <[M::Elem]>::copy_from_slice, |_, _, _| {})?;
         let stride = self.model.max_activation_len();
         Ok(self
             .slab(in_a)

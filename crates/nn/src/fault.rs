@@ -18,8 +18,6 @@
 //! campaign's fault sequence is a pure function of `(model, inputs, seed)`
 //! — identical for sequential and pooled execution at any worker count.
 
-use std::sync::{Arc, Mutex};
-
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::DetRng;
 
@@ -70,7 +68,6 @@ pub struct WeightFlip {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: DetRng,
-    flips: u64,
 }
 
 impl FaultInjector {
@@ -78,13 +75,7 @@ impl FaultInjector {
     pub fn new(seed: u64) -> Self {
         FaultInjector {
             rng: DetRng::new(seed),
-            flips: 0,
         }
-    }
-
-    /// Total bit-flips performed so far (float and quantised combined).
-    pub fn flip_count(&self) -> u64 {
-        self.flips
     }
 
     /// Performs `events` SEU events on the float model, each flipping
@@ -129,7 +120,6 @@ impl FaultInjector {
                 let before = buf[offset].to_bits();
                 let after = before ^ (1u32 << bit);
                 buf[offset] = f32::from_bits(after);
-                self.flips += 1;
                 out.push(WeightFlip {
                     layer,
                     param: target,
@@ -180,7 +170,6 @@ impl FaultInjector {
                 let before = buf[offset].to_bits() as u32;
                 let after = before ^ (1u32 << bit);
                 buf[offset] = Q16_16::from_bits(after as i32);
-                self.flips += 1;
                 out.push(WeightFlip {
                     layer,
                     param: target,
@@ -479,44 +468,6 @@ pub enum Injection {
     },
 }
 
-/// Shared, clonable log of injections (ground truth for campaigns).
-///
-/// The [`crate::harden::HardenedEngine`] pushes every injection it performs
-/// here; the campaign runner drains it per decision to know whether a
-/// fault was actually active.
-#[derive(Debug, Clone, Default)]
-pub struct InjectionLog(Arc<Mutex<Vec<Injection>>>);
-
-impl InjectionLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one injection.
-    pub fn push(&self, injection: Injection) {
-        self.0
-            .lock()
-            .expect("injection log poisoned")
-            .push(injection);
-    }
-
-    /// Removes and returns everything logged so far.
-    pub fn drain(&self) -> Vec<Injection> {
-        std::mem::take(&mut *self.0.lock().expect("injection log poisoned"))
-    }
-
-    /// Number of injections currently logged.
-    pub fn len(&self) -> usize {
-        self.0.lock().expect("injection log poisoned").len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,7 +509,6 @@ mod tests {
         let f = flips[0];
         assert_eq!(f.before ^ f.after, 1u32 << f.bit);
         assert_ne!(m.digest(), before_digest);
-        assert_eq!(inj.flip_count(), 1);
         // Flipping the same bit back restores the digest.
         let mut restore = FaultInjector::new(3);
         restore.flip_weight_bits(&mut m, 1, 1).unwrap();
@@ -715,17 +665,5 @@ mod tests {
         let plan = FaultPlan::activation(3, ActivationFault { p: 0.5, bits: 1 });
         let input = [1.0f32, 2.0, 3.0];
         assert_eq!(plan.preview_input(0, &input), input.to_vec());
-    }
-
-    #[test]
-    fn injection_log_roundtrip() {
-        let log = InjectionLog::new();
-        assert!(log.is_empty());
-        log.push(Injection::InputNoise);
-        log.push(Injection::ActivationFlip { layer: 1, index: 2 });
-        assert_eq!(log.len(), 2);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(log.is_empty());
     }
 }

@@ -73,12 +73,12 @@ pub use ecc::{EccCode, EccConfig, RepairOutcome};
 pub use engine::{Classification, Engine};
 pub use error::NnError;
 pub use fault::{
-    apply_weight_flips, ActivationFault, FaultInjector, FaultPlan, Injection, InjectionLog,
-    InputFault, WeightFlip,
+    apply_weight_flips, ActivationFault, FaultInjector, FaultPlan, Injection, InputFault,
+    WeightFlip,
 };
 pub use harden::{
     crc32, crc32_words, layer_checksum, layer_checksums, ActivationGuard, CheckedClassification,
-    CrcStrategy, HardenConfig, HardenDomain, HardenedEngine, HardenedPool, HealthEvent, HealthSink,
+    HardenConfig, HardenDomain, HardenedEngine, HardenedPool, HealthEvent, HealthSink,
 };
 pub use model::{Model, ModelBuilder};
 pub use pool::{EnginePool, QEnginePool};

@@ -21,7 +21,6 @@ use safex_tensor::Shape;
 
 use crate::engine::{Classification, Engine};
 use crate::error::NnError;
-use crate::harden::domain::Domain;
 use crate::layer::Layer;
 use crate::model::Model;
 
@@ -241,16 +240,19 @@ fn quantize_layer(layer: &Layer, index: usize) -> Result<QLayer, NnError> {
 pub type QEngine = Engine<QModel>;
 
 impl Engine<QModel> {
-    /// Converts an `f32` input, runs inference, and converts the output
-    /// back to `f32`. Allocates for the conversions; the integer inference
-    /// in between is allocation-free.
+    /// Quantises an `f32` input into the input arena, runs inference, and
+    /// converts the output back to `f32`. Allocates only the returned
+    /// `Vec`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] on a wrong-sized input.
     pub fn infer_f32(&mut self, input: &[f32]) -> Result<Vec<f32>, NnError> {
-        let input = QModel::from_f32(input);
-        Ok(self.infer(&input)?.iter().map(|v| v.to_f32()).collect())
+        Ok(self
+            .infer_from_f32(input)?
+            .iter()
+            .map(|v| v.to_f32())
+            .collect())
     }
 }
 

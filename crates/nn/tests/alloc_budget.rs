@@ -151,23 +151,25 @@ fn f32_engine_allocates_nothing_from_its_first_decision() {
 
 #[test]
 fn q16_engine_allocates_nothing_from_its_first_decision() {
-    let xs = quantised(&inputs());
+    let fs = inputs();
+    let xs = quantised(&fs);
     let mut engine = QEngine::new(QModel::quantize(&model()).unwrap());
     let mut i = 0;
     let n = allocations(16, || {
         let x = &xs[i % xs.len()];
+        let f = &fs[i % fs.len()];
         i += 1;
         engine.infer(x).unwrap();
         engine.classify(x).unwrap();
+        engine.classify_f32(f).unwrap();
     });
     assert_eq!(n, 0, "Engine<QModel>: allocations over 16 decisions");
-    // The counter does see the heap: quantising an f32 input is one
-    // allocation per call.
-    let x = &inputs()[0];
+    // The counter does see the heap: `infer_f32` returns its output as
+    // a new Vec, one allocation per call.
     let n = allocations(16, || {
-        engine.classify_f32(x).unwrap();
+        engine.infer_f32(&fs[0]).unwrap();
     });
-    assert_eq!(n, 16, "Engine<QModel>::classify_f32 quantises into a Vec");
+    assert_eq!(n, 16, "Engine<QModel>::infer_f32 returns a Vec");
 }
 
 #[test]
@@ -209,7 +211,8 @@ fn hardened_f32_engine_allocates_nothing_in_steady_state() {
 
 #[test]
 fn hardened_q16_engine_allocates_nothing_in_steady_state() {
-    let xs = quantised(&inputs());
+    let fs = inputs();
+    let xs = quantised(&fs);
     let qmodel = QModel::quantize(&model()).unwrap();
     for (name, config) in configs() {
         for guarded in [false, true] {
@@ -221,9 +224,11 @@ fn hardened_q16_engine_allocates_nothing_in_steady_state() {
             let mut i = 0;
             let n = allocations(16, || {
                 let x = &xs[i % xs.len()];
+                let f = &fs[i % fs.len()];
                 i += 1;
                 engine.infer(x).unwrap();
                 engine.classify(x).unwrap();
+                engine.classify_f32(f).unwrap();
             });
             assert_eq!(n, 0, "HardenedEngine<QModel>, {name}, guards {guarded}");
             assert_eq!(engine.event_count(), 0, "clean inputs raise nothing");

@@ -1,7 +1,7 @@
 //! Property test: a hardened decision stream run as batch-major chunks
 //! equals the sequential per-item loop over the same global indices —
 //! classification bits, health events and injections — for any chunk
-//! sizes, fault plan (f32), CRC strategy, repair setting and mid-stream
+//! sizes, fault plan (f32), CRC cadence, repair setting and mid-stream
 //! weight strike, on the f32 and the Q16.16 engine alike.
 
 use proptest::prelude::*;
@@ -9,8 +9,8 @@ use safex_nn::layer::Layer;
 use safex_nn::model::ModelBuilder;
 use safex_nn::quant::QLayer;
 use safex_nn::{
-    ActivationFault, CheckedClassification, CrcStrategy, EccConfig, FaultPlan, HardenConfig,
-    HardenDomain, HardenedEngine, HardenedPool, InputFault, Model, QModel,
+    ActivationFault, CheckedClassification, EccConfig, FaultPlan, HardenConfig, HardenDomain,
+    HardenedEngine, HardenedPool, InputFault, Model, QModel,
 };
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::{DetRng, Shape};
@@ -59,14 +59,9 @@ fn qstrike(model: &mut QModel, layer: usize, word: usize, bit: u32) {
     }
 }
 
-fn config(rotating: bool, repair: bool, cadence: u64) -> HardenConfig {
+fn config(repair: bool, cadence: u64) -> HardenConfig {
     HardenConfig {
         crc_cadence: cadence,
-        crc_strategy: if rotating {
-            CrcStrategy::Rotating
-        } else {
-            CrcStrategy::Full
-        },
         repair: repair.then(EccConfig::default),
         ..HardenConfig::default()
     }
@@ -128,7 +123,6 @@ proptest! {
         seed in any::<u64>(),
         chunks in prop::collection::vec(1usize..=16, 1..6),
         workers in 1usize..=3,
-        rotating in any::<bool>(),
         repair in any::<bool>(),
         cadence in 1u64..=3,
         strike_before in 0usize..6,
@@ -136,7 +130,7 @@ proptest! {
         strike_bit in 0u32..32,
     ) {
         let mut engine =
-            HardenedEngine::new(model(seed), config(rotating, repair, cadence)).expect("engine");
+            HardenedEngine::new(model(seed), config(repair, cadence)).expect("engine");
         let all = inputs(seed ^ 0xC0FFEE, chunks.iter().sum());
         engine.calibrate(&all).expect("calibrate");
         engine
@@ -157,7 +151,6 @@ proptest! {
         seed in any::<u64>(),
         chunks in prop::collection::vec(1usize..=16, 1..6),
         workers in 1usize..=3,
-        rotating in any::<bool>(),
         repair in any::<bool>(),
         cadence in 1u64..=3,
         strike_before in 0usize..6,
@@ -166,7 +159,7 @@ proptest! {
     ) {
         let qmodel = QModel::quantize(&model(seed)).expect("quantize");
         let mut engine =
-            HardenedEngine::new(qmodel, config(rotating, repair, cadence)).expect("engine");
+            HardenedEngine::new(qmodel, config(repair, cadence)).expect("engine");
         let all: Vec<Vec<Q16_16>> = inputs(seed ^ 0xC0FFEE, chunks.iter().sum())
             .iter()
             .map(|x| x.iter().map(|&v| Q16_16::from_f32(v)).collect())

@@ -1,7 +1,7 @@
 //! Regression test: a hardened pool fed many small batches after a weight
 //! strike equals the sequential `classify_indexed` loop — classifications,
-//! health events and injections — for the f32 and the Q16.16 engine, both
-//! CRC strategies and any worker count.
+//! health events and injections — for the f32 and the Q16.16 engine and
+//! any worker count.
 //!
 //! The strike (each parametric layer in turn) lands on the engine before
 //! the pool clones it, so every replica carries it. With ECC repair on, whichever replica runs the
@@ -13,8 +13,8 @@ use safex_nn::layer::Layer;
 use safex_nn::model::ModelBuilder;
 use safex_nn::quant::QLayer;
 use safex_nn::{
-    CheckedClassification, CrcStrategy, EccConfig, HardenConfig, HardenedEngine, HardenedPool,
-    HardenedQEngine, HardenedQPool, HealthEvent, Model, QModel,
+    CheckedClassification, EccConfig, HardenConfig, HardenedEngine, HardenedPool, HardenedQEngine,
+    HardenedQPool, HealthEvent, Model, QModel,
 };
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::{DetRng, Shape};
@@ -65,10 +65,9 @@ fn strike_q16(model: &mut QModel, layer: usize) {
     }
 }
 
-fn config(crc_strategy: CrcStrategy) -> HardenConfig {
+fn config() -> HardenConfig {
     HardenConfig {
         crc_cadence: 1,
-        crc_strategy,
         repair: Some(EccConfig::default()),
         ..HardenConfig::default()
     }
@@ -120,17 +119,9 @@ macro_rules! check_small_batches {
 
 #[test]
 fn f32_pool_fed_small_batches_after_a_strike_matches_sequential() {
-    for strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
-        let mut engine = HardenedEngine::new(model(), config(strategy)).unwrap();
-        engine.calibrate(&inputs()).unwrap();
-        check_small_batches!(
-            engine,
-            HardenedPool,
-            inputs(),
-            strike_f32,
-            format!("f32 {strategy:?}")
-        );
-    }
+    let mut engine = HardenedEngine::new(model(), config()).unwrap();
+    engine.calibrate(&inputs()).unwrap();
+    check_small_batches!(engine, HardenedPool, inputs(), strike_f32, "f32");
 }
 
 #[test]
@@ -139,16 +130,8 @@ fn q16_pool_fed_small_batches_after_a_strike_matches_sequential() {
         .iter()
         .map(|x| x.iter().map(|&v| Q16_16::from_f32(v)).collect())
         .collect();
-    for strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
-        let qmodel = QModel::quantize(&model()).unwrap();
-        let mut engine = HardenedQEngine::new(qmodel, config(strategy)).unwrap();
-        engine.calibrate(&qinputs).unwrap();
-        check_small_batches!(
-            engine,
-            HardenedQPool,
-            qinputs.clone(),
-            strike_q16,
-            format!("Q16.16 {strategy:?}")
-        );
-    }
+    let qmodel = QModel::quantize(&model()).unwrap();
+    let mut engine = HardenedQEngine::new(qmodel, config()).unwrap();
+    engine.calibrate(&qinputs).unwrap();
+    check_small_batches!(engine, HardenedQPool, qinputs, strike_q16, "Q16.16");
 }

@@ -114,20 +114,6 @@ impl PatternKind {
             PatternKind::Cascade => "cascade",
         }
     }
-
-    /// Nominal channel evaluations per decision (the latency proxy used
-    /// by experiment E6 before platform-accurate timing).
-    pub fn nominal_cost(self) -> u32 {
-        match self {
-            PatternKind::Bare => 1,
-            PatternKind::MonitorActuator => 2,
-            PatternKind::Simplex => 2,
-            PatternKind::SafetyBag => 2,
-            PatternKind::RecoveryBlock => 2,
-            PatternKind::TwoOutOfThree => 3,
-            PatternKind::Cascade => 3,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +158,5 @@ mod tests {
     #[test]
     fn kind_names_and_costs() {
         assert_eq!(PatternKind::Simplex.name(), "simplex");
-        assert!(PatternKind::TwoOutOfThree.nominal_cost() > PatternKind::Bare.nominal_cost());
     }
 }

@@ -156,12 +156,6 @@ impl MemoryHierarchy {
         (self.l1.hit_rate(), self.l2.hit_rate())
     }
 
-    /// Effective L2 size in bytes (smaller than configured when
-    /// partitioned).
-    pub fn effective_l2_bytes(&self) -> usize {
-        self.l2.config().size_bytes
-    }
-
     /// Performs one data access and returns its latency in cycles,
     /// including any interference delay.
     pub fn access(&mut self, addr: u64, rng: &mut DetRng) -> u64 {
@@ -351,7 +345,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert!(h.effective_l2_bytes() <= 8192 / 4);
+        assert!(h.l2.config().size_bytes <= 8192 / 4);
     }
 
     #[test]

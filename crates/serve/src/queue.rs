@@ -262,11 +262,6 @@ impl AdmissionQueue {
         self.items.extend(pending);
         self.items.sort_by_key(|p| (p.queued_at, p.request.id));
     }
-
-    /// The lowest tier currently queued, if any.
-    pub fn min_tier(&self) -> Option<Tier> {
-        self.items.iter().map(|p| p.request.tier).min()
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +320,6 @@ mod tests {
             vec![0, 1, 2]
         );
         assert_eq!(q.len(), 1);
-        assert_eq!(q.min_tier(), Some(Tier::Medium));
     }
 
     #[test]

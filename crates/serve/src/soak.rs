@@ -108,12 +108,6 @@ impl WatchdogConfig {
         }
     }
 
-    /// Set one stage's deadline.
-    pub fn with_stage_deadline(mut self, stage: WatchStage, deadline: u64) -> Self {
-        self.stage_deadline[stage.index()] = deadline;
-        self
-    }
-
     /// Set the liveness-proof cadence.
     pub fn with_proof_cadence(mut self, cadence: u64) -> Self {
         self.proof_cadence = cadence;
@@ -343,7 +337,8 @@ mod tests {
     fn watchdog_config_validates_deadlines() {
         assert!(WatchdogConfig::default().validate().is_ok());
         assert!(WatchdogConfig::enabled(64).validate().is_ok());
-        let bad = WatchdogConfig::enabled(64).with_stage_deadline(WatchStage::Batcher, 0);
+        let mut bad = WatchdogConfig::enabled(64);
+        bad.stage_deadline[WatchStage::Batcher.index()] = 0;
         assert!(bad.validate().is_err());
     }
 

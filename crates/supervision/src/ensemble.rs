@@ -71,11 +71,6 @@ impl ScoreEnsemble {
             calibration,
         })
     }
-
-    /// Member names in order.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
 }
 
 impl Supervisor for ScoreEnsemble {
@@ -196,7 +191,6 @@ mod tests {
         let normal = obs(0.92, 4.0);
         let weird = obs(0.5, 0.1);
         assert!(e.score(&weird).unwrap() > e.score(&normal).unwrap() + 1.0);
-        assert_eq!(e.member_names(), vec!["softmax_threshold", "logit_margin"]);
         assert_eq!(e.name(), "score_ensemble");
     }
 

@@ -13,13 +13,6 @@ pub enum Verdict {
     Reject,
 }
 
-impl Verdict {
-    /// Whether the verdict is [`Verdict::Accept`].
-    pub fn is_accept(self) -> bool {
-        self == Verdict::Accept
-    }
-}
-
 /// A supervisor plus a threshold calibrated to a target false-positive
 /// rate on in-distribution data.
 ///
@@ -188,7 +181,6 @@ mod tests {
         // Unsure input: score = 0.5 -> reject.
         let (v, _) = m.check(&obs(0.5)).unwrap();
         assert_eq!(v, Verdict::Reject);
-        assert!(!v.is_accept());
     }
 
     #[test]

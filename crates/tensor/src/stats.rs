@@ -148,15 +148,6 @@ impl Histogram {
         self.outliers
     }
 
-    /// The `(low, high)` edges of bin `i`, or `None` if out of range.
-    pub fn bin_edges(&self, i: usize) -> Option<(f64, f64)> {
-        if i >= self.counts.len() {
-            return None;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        Some((self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width))
-    }
-
     /// Total in-range sample count.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -267,8 +258,6 @@ mod tests {
         let h = Histogram::new(&xs, 0.0, 3.0, 3).unwrap();
         assert_eq!(h.counts(), &[1, 2, 2]); // 3.0 lands in last bin
         assert_eq!(h.outliers(), 0);
-        assert_eq!(h.bin_edges(0), Some((0.0, 1.0)));
-        assert_eq!(h.bin_edges(3), None);
         assert_eq!(h.total(), 5);
     }
 

@@ -316,14 +316,6 @@ impl Tensor {
             .fold(0.0f64, |acc, (&a, &b)| acc + a as f64 * b as f64))
     }
 
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn norm_l2(&self) -> f64 {
-        self.data
-            .iter()
-            .fold(0.0f64, |acc, &x| acc + (x as f64) * (x as f64))
-            .sqrt()
-    }
-
     /// Maximum absolute difference between two tensors of equal shape.
     ///
     /// # Errors
@@ -463,7 +455,6 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         let a = Tensor::from_slice_1d(&[3.0, 4.0]).unwrap();
-        assert_eq!(a.norm_l2(), 5.0);
         let b = Tensor::from_slice_1d(&[1.0, 1.0]).unwrap();
         assert_eq!(a.dot(&b).unwrap(), 7.0);
     }

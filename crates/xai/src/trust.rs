@@ -124,11 +124,6 @@ impl TrustModel {
         })
     }
 
-    /// Number of features the model expects.
-    pub fn feature_count(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Probability in `[0, 1]` that a prediction with these features is
     /// correct.
     ///
@@ -214,7 +209,6 @@ mod tests {
         let m = TrustModel::fit(&f, &c, 400, 0.5).unwrap();
         assert!(m.trust(&[0.92, 3.1]).unwrap() > 0.85);
         assert!(m.trust(&[0.52, 0.4]).unwrap() < 0.15);
-        assert_eq!(m.feature_count(), 2);
     }
 
     #[test]

@@ -53,7 +53,7 @@ echo "==> wrote $OUT ($(wc -l <"$OUT") entries)"
 
 # Every bench binary must have emitted at least one entry; a missing
 # prefix means a bench silently stopped registering its group.
-for prefix in e6_pipeline_decide e10_batch_256 e11_hardened_inference e12_serving e13_repair_overhead e14_fleet/fleet_replay e14_fleet/stats/cache_hit_rate e14_fleet/stats/time_in_state e14_fleet/stats/fairness e15_soak/soak_replay e15_soak/snapshot_codec e15_soak/restore_stage e15_soak/stats/swap_latency e15_soak/stats/watchdog e15_soak/stats/restore_fidelity e16_fused/bare_engine e16_fused/full_every_decision e16_fused/rotating_cadence_8 e16_fused/requests16_batch1 e16_fused/requests16_batch16 e17_falsify/classification_eval e17_falsify/trajectory_episode e17_falsify/search_trajectory e17_falsify/stats/automotive e17_falsify/stats/railway e17_falsify/stats/space e17_falsify/stats/trajectory e18_fuzz/mutate_probe_snapshot e18_fuzz/mutate_probe_model e18_fuzz/queue_sequence e18_fuzz/stats/smoke_wall_ms e18_fuzz/stats/smoke_cases; do
+for prefix in e6_pipeline_decide e10_batch_256 e11_hardened_inference e12_serving e13_repair_overhead e14_fleet/fleet_replay e14_fleet/stats/cache_hit_rate e14_fleet/stats/time_in_state e14_fleet/stats/fairness e15_soak/soak_replay e15_soak/snapshot_codec e15_soak/restore_stage e15_soak/stats/swap_latency e15_soak/stats/watchdog e15_soak/stats/restore_fidelity e16_fused/bare_engine e16_fused/full_every_decision e16_fused/requests16_batch1 e16_fused/requests16_batch16 e17_falsify/classification_eval e17_falsify/trajectory_episode e17_falsify/search_trajectory e17_falsify/stats/automotive e17_falsify/stats/railway e17_falsify/stats/space e17_falsify/stats/trajectory e18_fuzz/mutate_probe_snapshot e18_fuzz/mutate_probe_model e18_fuzz/queue_sequence e18_fuzz/stats/smoke_wall_ms e18_fuzz/stats/smoke_cases; do
     if ! grep -q "\"id\":\"$prefix" "$OUT"; then
         echo "error: no benchmark entries matching '$prefix' in $OUT" >&2
         exit 1

@@ -246,13 +246,13 @@ fn pool_classification_matrix_consistent() {
 /// lockstep: one pool fed several consecutive batches, with a weight
 /// strike on every replica between two of them, must match a sequential
 /// engine struck at the same decision, for every worker count, for the
-/// float pool (Full and Rotating CRC every second decision, ECC repair)
-/// and the Q16.16 pool.
+/// float pool (CRC every second decision, ECC repair) and the Q16.16
+/// pool.
 #[test]
 fn pool_matrix_holds_across_consecutive_batches_and_strikes() {
     use safexplain::nn::{
-        apply_weight_flips, CheckedClassification, CrcStrategy, EccConfig, FaultInjector,
-        HardenConfig, HardenedEngine, HardenedPool, HardenedQEngine, HardenedQPool, HealthEvent,
+        apply_weight_flips, CheckedClassification, EccConfig, FaultInjector, HardenConfig,
+        HardenedEngine, HardenedPool, HardenedQEngine, HardenedQPool, HealthEvent,
     };
 
     let data = dataset(10, 18);
@@ -264,56 +264,53 @@ fn pool_matrix_holds_across_consecutive_batches_and_strikes() {
     let flips = FaultInjector::new(0xBAD5EED)
         .flip_weight_bits(&mut model.clone(), 1, 1)
         .expect("draw strike");
-    for crc_strategy in [CrcStrategy::Full, CrcStrategy::Rotating] {
-        let harden = HardenConfig {
-            crc_cadence: 2,
-            crc_strategy,
-            repair: Some(EccConfig::default()),
-            ..HardenConfig::default()
-        };
-        let mut engine = HardenedEngine::new(model.clone(), harden).expect("harden");
-        engine.calibrate(&inputs).expect("calibrate");
+    let harden = HardenConfig {
+        crc_cadence: 2,
+        repair: Some(EccConfig::default()),
+        ..HardenConfig::default()
+    };
+    let mut engine = HardenedEngine::new(model.clone(), harden).expect("harden");
+    engine.calibrate(&inputs).expect("calibrate");
 
-        let mut seq = engine.clone();
-        let mut expected = Vec::new();
-        for (i, x) in inputs.iter().enumerate() {
-            if i == strike_at {
-                apply_weight_flips(seq.model_mut(), &flips).expect("strike");
-            }
-            let classification = seq.classify_indexed(i as u64, x).expect("classify");
-            expected.push(CheckedClassification {
-                classification,
-                events: seq.last_events().to_vec(),
-                injections: seq.last_injections().to_vec(),
-            });
+    let mut seq = engine.clone();
+    let mut expected = Vec::new();
+    for (i, x) in inputs.iter().enumerate() {
+        if i == strike_at {
+            apply_weight_flips(seq.model_mut(), &flips).expect("strike");
         }
-        assert!(
-            expected
-                .iter()
-                .flat_map(|c| &c.events)
-                .any(|e| matches!(e, HealthEvent::CorrectedFault { .. })),
-            "{crc_strategy:?}: the strike must be seen and repaired"
-        );
-        for workers in [1usize, 2, 4, 8] {
-            let mut pool = HardenedPool::new(&engine, workers).expect("pool");
-            let mut got = Vec::new();
-            for span in bounds.windows(2) {
-                if span[0] == strike_at {
-                    for replica in pool.engines_mut() {
-                        apply_weight_flips(replica.model_mut(), &flips).expect("strike");
-                    }
+        let classification = seq.classify_indexed(i as u64, x).expect("classify");
+        expected.push(CheckedClassification {
+            classification,
+            events: seq.last_events().to_vec(),
+            injections: seq.last_injections().to_vec(),
+        });
+    }
+    assert!(
+        expected
+            .iter()
+            .flat_map(|c| &c.events)
+            .any(|e| matches!(e, HealthEvent::CorrectedFault { .. })),
+        "the strike must be seen and repaired"
+    );
+    for workers in [1usize, 2, 4, 8] {
+        let mut pool = HardenedPool::new(&engine, workers).expect("pool");
+        let mut got = Vec::new();
+        for span in bounds.windows(2) {
+            if span[0] == strike_at {
+                for replica in pool.engines_mut() {
+                    apply_weight_flips(replica.model_mut(), &flips).expect("strike");
                 }
-                got.extend(
-                    pool.classify_batch(&inputs[span[0]..span[1]])
-                        .expect("batch"),
-                );
             }
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{expected:?}"),
-                "{crc_strategy:?} float pool diverged at {workers} workers"
+            got.extend(
+                pool.classify_batch(&inputs[span[0]..span[1]])
+                    .expect("batch"),
             );
         }
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{expected:?}"),
+            "float pool diverged at {workers} workers"
+        );
     }
 
     let qmodel = QModel::quantize(&model).expect("quantize");
