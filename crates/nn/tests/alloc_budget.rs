@@ -7,14 +7,16 @@
 //! thread-local, so tests running in parallel on other threads cannot
 //! move it. Each engine is warmed up first where its arenas are grown
 //! on first use, then pinned at exactly zero allocations per decision.
+//! A pool batch, which copies its chunks for the helper lane, is pinned
+//! at an exact count on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use safex_nn::layer::BatchNormLayer;
 use safex_nn::{
-    EccConfig, Engine, HardenConfig, HardenedEngine, HardenedQEngine, Model, ModelBuilder, QEngine,
-    QModel,
+    EccConfig, Engine, HardenConfig, HardenedEngine, HardenedPool, HardenedQEngine, Model,
+    ModelBuilder, QEngine, QModel,
 };
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::{DetRng, Shape};
@@ -233,5 +235,30 @@ fn hardened_q16_engine_allocates_nothing_in_steady_state() {
             assert_eq!(n, 0, "HardenedEngine<QModel>, {name}, guards {guarded}");
             assert_eq!(engine.event_count(), 0, "clean inputs raise nothing");
         }
+    }
+}
+
+#[test]
+fn hardened_pool_batch_allocates_a_fixed_count_on_the_calling_thread() {
+    // Only the calling thread is counted. The helper lane's own
+    // allocation (the boxed reply) is not, so the pin does not depend on
+    // how the two lanes are scheduled. The 23: the chunk lengths (1), an
+    // owned copy of each chunk (2 × (1 + 8 rows)), the helper's
+    // pre-sized output (1), its boxed task (1), the replica split (1)
+    // and the batch output (1). The decisions themselves allocate
+    // nothing.
+    let xs: Vec<Vec<f32>> = inputs().into_iter().cycle().take(16).collect();
+    let engine = HardenedEngine::new(model(), HardenConfig::default()).unwrap();
+    let mut pool = HardenedPool::new(&engine, 2).unwrap();
+    // The first batch spawns the helper lane and grows the arenas.
+    pool.classify_batch(&xs).unwrap();
+    for batch in 0..8 {
+        let n = allocations(1, || {
+            pool.classify_batch(&xs).unwrap();
+        });
+        assert_eq!(
+            n, 23,
+            "HardenedPool<Model>, 2 workers, 16 items: batch {batch}"
+        );
     }
 }

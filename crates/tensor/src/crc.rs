@@ -100,11 +100,12 @@ mod clmul {
     /// (only when [`wide_available`]) takes the 512-bit fold for inputs
     /// of at least 64 words.
     ///
-    /// This is the only dispatch into `#[target_feature]` code in the
-    /// workspace: the intrinsics themselves are safe to call inside the
+    /// This is one of the two dispatches into `#[target_feature]` code
+    /// in the workspace (the other is the AVX-512 dense tiles in
+    /// `ops`): the intrinsics themselves are safe to call inside the
     /// annotated functions (the features are statically enabled there),
     /// and [`available`] / [`wide_available`] have proven at runtime that
-    /// the CPU executes them, so the single `unsafe` block below carries
+    /// the CPU executes them, so the `unsafe` block below carries
     /// exactly that obligation and nothing else — no raw pointers, no
     /// transmutes, no aliasing.
     pub fn fold_words<T: Copy>(
@@ -328,12 +329,13 @@ enum CrcPath {
 }
 
 impl CrcPath {
-    /// The widest path this CPU runs, detected once.
+    /// The widest path this CPU runs, detected once. A build with
+    /// `--cfg safex_portable` always takes the table path.
     fn detected() -> CrcPath {
         static DETECTED: OnceLock<CrcPath> = OnceLock::new();
         *DETECTED.get_or_init(|| {
             #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
-            {
+            if !cfg!(safex_portable) {
                 if clmul::wide_available() {
                     return CrcPath::Fold512;
                 }
@@ -567,6 +569,13 @@ mod tests {
                 }
                 assert_eq!(crc32(bytes), expected);
             }
+        }
+    }
+
+    #[test]
+    fn a_portable_build_detects_the_table_path() {
+        if cfg!(safex_portable) {
+            assert_eq!(CrcPath::detected(), CrcPath::Table);
         }
     }
 

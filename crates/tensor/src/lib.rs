@@ -19,11 +19,12 @@
 //! * **Explicit failure.** Shape mismatches return [`TensorError`] instead
 //!   of panicking; fixed-point arithmetic saturates instead of wrapping.
 //! * **No `unsafe`, no dependencies.** The crate is `deny(unsafe_code)`
-//!   and depends only on `std`. The single audited exception is the
-//!   one-line dispatch into the feature-gated CRC-32 carry-less-multiply
-//!   fold in [`crc`] — no raw pointers or transmutes, only the runtime
-//!   CPU-feature obligation, and the result is pinned bit-identical to
-//!   the safe table implementation by tests at every level.
+//!   and depends only on `std`. The two audited exceptions are the
+//!   one-line dispatches into feature-gated code: the CRC-32
+//!   carry-less-multiply fold in [`crc`] and the AVX-512 dense tiles in
+//!   [`ops`]. Neither uses raw pointers or transmutes; each carries only
+//!   the runtime CPU-feature obligation, and its results are pinned
+//!   bit-identical to the portable code by tests at every level.
 //!
 //! ## Quick start
 //!

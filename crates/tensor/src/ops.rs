@@ -14,6 +14,19 @@
 //! * use a fixed left-to-right accumulation order with `f64` (or `i64` for
 //!   the fixed-point variants) accumulators, so results are bit-for-bit
 //!   reproducible.
+//!
+//! The f32 dense kernel ([`dense_into`], [`dense_batch_into`]) runs the
+//! widest rung of a ladder detected once at runtime: a portable tile on
+//! every CPU, and row-lane tiles on 512-bit registers where the CPU has
+//! `avx512f`. Both rungs run every output's definitional f64 chain, so
+//! every non-NaN output is bit-identical across rungs and a NaN output
+//! is NaN on both. NaN payloads are not pinned: which NaN operand an add
+//! or multiply propagates is the instruction's choice, so a signalling
+//! NaN weight meeting a NaN input can leave a different quiet NaN on
+//! each rung. A build with `--cfg safex_portable` takes the portable
+//! rung on every CPU.
+
+use std::sync::OnceLock;
 
 use crate::error::TensorError;
 use crate::fixed::Q16_16;
@@ -47,14 +60,16 @@ pub fn dense_into(
 /// apart in `dst`.
 ///
 /// Each weight row is streamed from memory once per *batch* instead of
-/// once per item. The chains run as a tile: eight output rows against
-/// two batch items (against the one item at batch 1), sixteen or eight
-/// independent chains in flight, so the f64 add latency is hidden at
-/// every batch size. The tile never changes a chain's own operation
-/// sequence, so every output is bit-identical to running [`dense_into`]
-/// on each item — pinned against a scalar reference for every row and
-/// item remainder of the tile by `dense_exact_tile_matches_scalar_reference`
-/// (`crates/tensor/tests/props.rs`).
+/// once per item. The chains run as tiles of independent chains, so the
+/// f64 add latency is hidden at every batch size: with `avx512f`, sixteen
+/// (then eight) output rows in zmm lanes against two items (then one),
+/// and on the portable rung eight rows against two items (then one).
+/// Rows the wide tiles leave take the portable tile. No tile changes a
+/// chain's own operation sequence, so every non-NaN output is
+/// bit-identical to running [`dense_into`] on each item on any rung —
+/// pinned against a scalar reference for every row and item remainder
+/// by `dense_exact_tile_matches_scalar_reference`
+/// (`crates/tensor/tests/props.rs`), and rung by rung by the unit tests.
 ///
 /// # Errors
 ///
@@ -158,10 +173,30 @@ impl DenseArena {
     }
 }
 
-/// The f32 dense layer over an arena that [`DenseArena::check`] accepted:
-/// tiles of [`TILE_ROWS`] output rows, then one row at a time.
+/// The f32 dense layer over an arena that [`DenseArena::check`] accepted,
+/// on the rung [`DensePath::detected`] picks.
 fn dense_arena(weights: &[f32], bias: &[f32], src: &[f32], dst: &mut [f32], arena: DenseArena) {
+    dense_arena_with(weights, bias, src, dst, arena, DensePath::detected());
+}
+
+/// [`dense_arena`] on a chosen [`DensePath`], so tests can pin every
+/// rung against the definition: the rung's own tiles first, then
+/// portable tiles of [`TILE_ROWS`] output rows, then one row at a time.
+fn dense_arena_with(
+    weights: &[f32],
+    bias: &[f32],
+    src: &[f32],
+    dst: &mut [f32],
+    arena: DenseArena,
+    path: DensePath,
+) {
     let mut o = 0;
+    #[cfg(target_arch = "x86_64")]
+    if path == DensePath::Avx512 {
+        o = avx512::dense_rows(weights, bias, src, dst, arena);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = path;
     while arena.outputs - o >= TILE_ROWS {
         dense_exact_rows::<TILE_ROWS>(weights, bias, src, dst, arena, o);
         o += TILE_ROWS;
@@ -264,6 +299,252 @@ fn dense_exact_tile<const R: usize, const C: usize>(
     for (r, acc_r) in acc.iter().enumerate() {
         for (c, &a) in acc_r.iter().enumerate() {
             dst[(item + c) * arena.dst_stride + o + r] = a as f32;
+        }
+    }
+}
+
+/// How the f32 dense kernel runs: the rungs of its ladder, each
+/// bit-identical to the definition on every non-NaN output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DensePath {
+    /// The portable tile; every CPU.
+    Portable,
+    /// Row-lane tiles on 512-bit registers (x86-64 with `avx512f`).
+    Avx512,
+}
+
+impl DensePath {
+    /// The widest rung this CPU runs, detected once. A build with
+    /// `--cfg safex_portable` always takes the portable tile.
+    fn detected() -> DensePath {
+        static DETECTED: OnceLock<DensePath> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if !cfg!(safex_portable) && avx512::available() {
+                return DensePath::Avx512;
+            }
+            DensePath::Portable
+        })
+    }
+}
+
+/// The AVX-512 rung of the f32 dense kernel: each zmm lane carries one
+/// output row's f64 chain, eight rows to a register.
+///
+/// A step of eight inputs widens each row's weights and the item's
+/// inputs to f64 and forms the row's eight products (exact, as in the
+/// portable tile), transposes them in registers so that vector `k`
+/// holds input `k`'s product for all eight rows, and adds the eight
+/// vectors into the row-lane accumulator in input order. Each lane so
+/// runs the definitional chain — bias seed, then `acc += w·x` per input
+/// in order, one rounding per add — and matches the portable tile bit
+/// for bit. No multiply is fused into its add: Rust's `avx512f` implies
+/// `fma`, but the products and adds are separate intrinsics, which LLVM
+/// never contracts without fast-math flags. Tiles are sixteen rows (two
+/// accumulators) or eight against two items or one; rows past the last
+/// multiple of eight are left to the portable tile, and inputs past the
+/// last multiple of eight run as a scalar tail on each lane.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512d, _mm256_setr_ps, _mm512_add_pd, _mm512_cvtps_pd, _mm512_cvtsd_f64, _mm512_mul_pd,
+        _mm512_permutex2var_pd, _mm512_permutexvar_pd, _mm512_set1_epi64, _mm512_setr_epi64,
+        _mm512_setzero_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd,
+    };
+
+    use super::DenseArena;
+
+    /// Output rows per register: one f64 lane each.
+    const LANES: usize = 8;
+    /// Inputs per step.
+    const STEP: usize = 8;
+
+    /// A row of `inputs` values split into whole steps and the tail.
+    type Steps<'a> = (&'a [[f32; STEP]], &'a [f32]);
+
+    /// Runtime check for this rung: `avx512f`.
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+
+    /// Computes output rows `0..k` of the arena for the largest multiple
+    /// `k` of eight rows, and returns `k` (0, computing nothing, on a
+    /// CPU without `avx512f`).
+    ///
+    /// Like the CRC fold's dispatch, this is an entry into
+    /// `#[target_feature]` code whose only obligation is the CPU
+    /// feature: the intrinsics are safe inside the annotated functions,
+    /// every access goes through bounds-checked slices (no raw pointers,
+    /// no transmutes), and [`available`] proves at runtime that the CPU
+    /// executes them.
+    pub(super) fn dense_rows(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+    ) -> usize {
+        if !available() {
+            return 0;
+        }
+        #[allow(unsafe_code)]
+        // SAFETY: `available()` just confirmed avx512f on this CPU, the
+        // only feature `dense_tiles` and its callees enable.
+        unsafe {
+            dense_tiles(weights, bias, src, dst, arena)
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn dense_tiles(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+    ) -> usize {
+        let mut o = 0;
+        while arena.outputs - o >= 2 * LANES {
+            tile_rows::<2>(weights, bias, src, dst, arena, o);
+            o += 2 * LANES;
+        }
+        if arena.outputs - o >= LANES {
+            tile_rows::<1>(weights, bias, src, dst, arena, o);
+            o += LANES;
+        }
+        o
+    }
+
+    /// Output rows `o..o + 8G` for every item: pairs of items, then a
+    /// last single item.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn tile_rows<const G: usize>(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+        o: usize,
+    ) {
+        let mut item = 0;
+        while arena.batch - item >= 2 {
+            tile::<G, 2>(weights, bias, src, dst, arena, o, item);
+            item += 2;
+        }
+        if item < arena.batch {
+            tile::<G, 1>(weights, bias, src, dst, arena, o, item);
+        }
+    }
+
+    /// Four f32 values from `lo` and four from `hi`, widened to f64 in
+    /// one register (`lo` in lanes 0–3). LLVM folds the assembly into a
+    /// load and an insert.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn widen(lo: &[f32], hi: &[f32]) -> __m512d {
+        _mm512_cvtps_pd(_mm256_setr_ps(
+            lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3],
+        ))
+    }
+
+    /// Transposes the 4×4 blocks in the two 256-bit halves of `p`: where
+    /// `p[r]` holds row `r`'s values of inputs 0–3 in lanes 0–3 and row
+    /// `r + 4`'s in lanes 4–7, vector `m` of the result holds input
+    /// `m`'s value for rows 0–7 in lanes 0–7.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn transpose(p: [__m512d; 4]) -> [__m512d; 4] {
+        let even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+        let odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+        let lo01 = _mm512_unpacklo_pd(p[0], p[1]);
+        let hi01 = _mm512_unpackhi_pd(p[0], p[1]);
+        let lo23 = _mm512_unpacklo_pd(p[2], p[3]);
+        let hi23 = _mm512_unpackhi_pd(p[2], p[3]);
+        [
+            _mm512_permutex2var_pd(lo01, even, lo23),
+            _mm512_permutex2var_pd(hi01, even, hi23),
+            _mm512_permutex2var_pd(lo01, odd, lo23),
+            _mm512_permutex2var_pd(hi01, odd, hi23),
+        ]
+    }
+
+    /// Lane `r` of `v`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn lane(v: __m512d, r: usize) -> f64 {
+        _mm512_cvtsd_f64(_mm512_permutexvar_pd(_mm512_set1_epi64(r as i64), v))
+    }
+
+    /// One tile: output rows `o..o + 8G` against items `item..item + C`,
+    /// one accumulator per (eight-row group, item).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn tile<const G: usize, const C: usize>(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+        o: usize,
+        item: usize,
+    ) {
+        // No closures here: a closure inherits this function's target
+        // features, and `std::array::from_fn` (which has none) could
+        // then not inline it.
+        let n = arena.inputs;
+        let mut rows: [[Steps; LANES]; G] = [[(&[], &[]); LANES]; G];
+        for (g, rows_g) in rows.iter_mut().enumerate() {
+            for (r, row) in rows_g.iter_mut().enumerate() {
+                *row = weights[(o + g * LANES + r) * n..][..n].as_chunks::<STEP>();
+            }
+        }
+        let mut xs: [Steps; C] = [(&[], &[]); C];
+        for (c, x) in xs.iter_mut().enumerate() {
+            *x = src[(item + c) * arena.src_stride..][..n].as_chunks::<STEP>();
+        }
+        let mut acc = [[_mm512_setzero_pd(); C]; G];
+        for (g, acc_g) in acc.iter_mut().enumerate() {
+            let b = &bias[o + g * LANES..][..LANES];
+            *acc_g = [widen(&b[..4], &b[4..]); C];
+        }
+        for step in 0..n / STEP {
+            // Each item's inputs 0–3 (then 4–7) of the step in both
+            // halves, to meet rows r and r + 4 side by side.
+            let mut x = [[_mm512_setzero_pd(); 2]; C];
+            for (x_c, xs_c) in x.iter_mut().zip(&xs) {
+                let v = &xs_c.0[step];
+                *x_c = [widen(&v[..4], &v[..4]), widen(&v[4..], &v[4..])];
+            }
+            for (rows_g, acc_g) in rows.iter().zip(&mut acc) {
+                let mut w = [[_mm512_setzero_pd(); 2]; 4];
+                for (r, w_r) in w.iter_mut().enumerate() {
+                    let (a, b) = (&rows_g[r].0[step], &rows_g[r + 4].0[step]);
+                    *w_r = [widen(&a[..4], &b[..4]), widen(&a[4..], &b[4..])];
+                }
+                for (x_c, acc_gc) in x.iter().zip(acc_g.iter_mut()) {
+                    for h in 0..2 {
+                        let mut products = [_mm512_setzero_pd(); 4];
+                        for (p, w_r) in products.iter_mut().zip(&w) {
+                            *p = _mm512_mul_pd(w_r[h], x_c[h]);
+                        }
+                        for p in transpose(products) {
+                            *acc_gc = _mm512_add_pd(*acc_gc, p);
+                        }
+                    }
+                }
+            }
+        }
+        for (g, (rows_g, acc_g)) in rows.iter().zip(&acc).enumerate() {
+            for (c, &acc_gc) in acc_g.iter().enumerate() {
+                for (r, (_, w_tail)) in rows_g.iter().enumerate() {
+                    let mut a = lane(acc_gc, r);
+                    for (w, x) in w_tail.iter().zip(xs[c].1) {
+                        a += *w as f64 * *x as f64;
+                    }
+                    dst[(item + c) * arena.dst_stride + o + g * LANES + r] = a as f32;
+                }
+            }
         }
     }
 }
@@ -980,6 +1261,159 @@ mod tests {
                 solo.as_slice(),
                 "item {item}"
             );
+        }
+    }
+
+    /// The definition of one dense output: seed with the bias as f64,
+    /// then `acc += w as f64 * x as f64` for each input in order.
+    fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
+        let mut acc = bias as f64;
+        for (w, xi) in row.iter().zip(x) {
+            acc += *w as f64 * *xi as f64;
+        }
+        acc as f32
+    }
+
+    /// Every [`DensePath`] this CPU runs, portable first; prints a note
+    /// for each rung it has to skip.
+    fn runnable_dense_paths() -> Vec<DensePath> {
+        let mut paths = vec![DensePath::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            paths.push(DensePath::Avx512);
+        }
+        if paths.len() == 1 {
+            println!("note: this CPU lacks avx512f; the AVX-512 dense rung is not exercised");
+        }
+        paths
+    }
+
+    /// Runs `dense_arena_with` on `path` over a random arena of this
+    /// geometry and asserts every output against [`dense_row_exact`]:
+    /// bit for bit, except that a NaN output need only be NaN.
+    fn check_dense_rung(path: DensePath, arena: DenseArena, value: &mut impl FnMut() -> f32) {
+        let DenseArena {
+            inputs,
+            outputs,
+            batch,
+            src_stride,
+            dst_stride,
+        } = arena;
+        let w: Vec<f32> = (0..inputs * outputs).map(|_| value()).collect();
+        let b: Vec<f32> = (0..outputs).map(|_| value()).collect();
+        let src: Vec<f32> = (0..batch * src_stride).map(|_| value()).collect();
+        let sentinel = f32::from_bits(0x7fc0_5afe);
+        let mut dst = vec![sentinel; batch * dst_stride];
+        arena.check(&w, &b, &src, &dst).expect("a valid arena");
+        dense_arena_with(&w, &b, &src, &mut dst, arena, path);
+        for item in 0..batch {
+            let x = &src[item * src_stride..][..inputs];
+            let row = &dst[item * dst_stride..][..dst_stride];
+            for (o, &got) in row[..outputs].iter().enumerate() {
+                let want = dense_row_exact(&w[o * inputs..][..inputs], x, b[o]);
+                let same = if want.is_nan() {
+                    got.is_nan()
+                } else {
+                    got.to_bits() == want.to_bits()
+                };
+                assert!(
+                    same,
+                    "{path:?} {arena:?}: item {item} row {o}: {:#x} vs {:#x}",
+                    got.to_bits(),
+                    want.to_bits()
+                );
+            }
+            assert!(
+                row[outputs..]
+                    .iter()
+                    .all(|v| v.to_bits() == sentinel.to_bits()),
+                "{path:?} {arena:?}: slack of item {item} written"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_detection_follows_the_cpu_unless_built_portable() {
+        let expected =
+            if cfg!(safex_portable) || !runnable_dense_paths().contains(&DensePath::Avx512) {
+                DensePath::Portable
+            } else {
+                DensePath::Avx512
+            };
+        assert_eq!(DensePath::detected(), expected);
+    }
+
+    #[test]
+    fn every_dense_rung_matches_the_definition() {
+        // Half the values are ±1 or ±2^30, so ±2^60 products absorb the
+        // small ones and then cancel exactly: the f32 result depends on
+        // which small terms each partial sum absorbed, i.e. on the add
+        // order. Rows 1..=40 cover the 16-row, 8-row and remainder tiles,
+        // inputs every residue mod 8 around zero, one and several steps.
+        let mut rng = crate::DetRng::new(25);
+        let mut value = || {
+            let sign = if rng.below(2) == 0 { 1.0f32 } else { -1.0 };
+            match rng.below(4) {
+                0 => sign,
+                1 => sign * 2f32.powi(30),
+                _ => rng.next_f32() * 2.0 - 1.0,
+            }
+        };
+        for path in runnable_dense_paths() {
+            for outputs in 1..=40 {
+                for inputs in (0..=17).chain([31, 64, 69]) {
+                    for batch in 0..=9 {
+                        let arena = DenseArena {
+                            inputs,
+                            outputs,
+                            batch,
+                            src_stride: inputs + (outputs + batch) % 3,
+                            dst_stride: outputs + (inputs + batch) % 3,
+                        };
+                        check_dense_rung(path, arena, &mut value);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_dense_rung_agrees_on_nan_and_infinity() {
+        // NaN-ness and every non-NaN bit pattern are pinned; NaN payloads
+        // are not (which NaN operand an add or multiply propagates is
+        // the instruction's choice).
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc0_7777), // negative quiet NaN with a payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            0.0,
+            -0.0,
+            f32::from_bits(1), // smallest subnormal
+        ];
+        let mut rng = crate::DetRng::new(26);
+        let mut value = || match rng.below(8) {
+            0 => specials[rng.below_usize(specials.len())],
+            _ => rng.next_f32() * 4.0 - 2.0,
+        };
+        for path in runnable_dense_paths() {
+            for outputs in [1, 8, 9, 16, 24, 33] {
+                for inputs in [1, 7, 8, 13, 16, 40] {
+                    for batch in 1..=3 {
+                        let arena = DenseArena {
+                            inputs,
+                            outputs,
+                            batch,
+                            src_stride: inputs + 1,
+                            dst_stride: outputs + 2,
+                        };
+                        check_dense_rung(path, arena, &mut value);
+                    }
+                }
+            }
         }
     }
 

@@ -63,7 +63,8 @@ echo "All expected benchmark groups present."
 
 # Perf floor for the hardening tax: hardened inference with a Full CRC
 # check on every decision must stay within 2.0x of the bare engine. The
-# ratio is generous against the ~1.55x full-run measurement so CI jitter
+# ratio is generous against the ~1.4x full-run measurement (medians
+# 1.24-1.85x over five runs with the AVX-512 dense kernel) so CI jitter
 # in --quick mode does not flap the gate.
 median() {
     grep "\"id\":\"$1\"" "$OUT" | sed -n 's/.*"median_ns":\([0-9]*\).*/\1/p' | head -1

@@ -96,6 +96,19 @@ if [[ "$TESTS_ONLY" == 0 ]]; then
     echo "==> cargo test --offline --manifest-path safexbench/Cargo.toml"
     cargo test --offline --manifest-path safexbench/Cargo.toml
 
+    # Same bits on every CPU: `--cfg safex_portable` pins the runtime-
+    # detected CRC and dense kernels to their portable rungs, and the
+    # system goldens must hold there unedited too. Its own target dir
+    # keeps the RUSTFLAGS change from invalidating the main build.
+    echo "==> goldens on the portable rungs (RUSTFLAGS=--cfg safex_portable)"
+    PORTABLE=(env RUSTFLAGS="--cfg safex_portable" CARGO_TARGET_DIR=target/portable)
+    "${PORTABLE[@]}" cargo test -q --offline -p safex-tensor --lib
+    "${PORTABLE[@]}" cargo test -q --offline \
+        -p safexplain -p safex-core -p safex-serve -p safex-nn -p safex-tensor \
+        --test determinism --test campaign_golden --test serving --test fleet \
+        --test snapshot_props --test props --test pool_batches --test chunk_order \
+        --test alloc_budget
+
     echo "==> scripts/bench.sh --quick"
     scripts/bench.sh --quick
 fi
