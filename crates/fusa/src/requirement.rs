@@ -161,15 +161,6 @@ impl Registry {
         }
         Ok(())
     }
-
-    /// Requirement count per SIL level, indexed `[SIL1, SIL2, SIL3, SIL4]`.
-    pub fn sil_histogram(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for r in &self.requirements {
-            counts[(r.sil.level() - 1) as usize] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -310,18 +301,6 @@ mod tests {
             .unwrap();
         reg.validate_decomposition(id).unwrap();
         assert!(reg.validate_decomposition(RequirementId(9)).is_err());
-    }
-
-    #[test]
-    fn histogram_counts() {
-        let mut reg = Registry::new();
-        reg.add("A", "", Sil::Sil1, RequirementKind::Functional, None)
-            .unwrap();
-        reg.add("B", "", Sil::Sil4, RequirementKind::Functional, None)
-            .unwrap();
-        reg.add("C", "", Sil::Sil4, RequirementKind::Timing, None)
-            .unwrap();
-        assert_eq!(reg.sil_histogram(), [1, 0, 0, 2]);
     }
 
     #[test]

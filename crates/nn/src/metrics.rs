@@ -129,33 +129,6 @@ pub fn evaluate(
     Ok((cm.accuracy(), cm))
 }
 
-/// Mean cross-entropy of predicted probability vectors against labels.
-///
-/// # Errors
-///
-/// Returns [`NnError::Training`] on empty input, length mismatch, or an
-/// out-of-range label.
-pub fn mean_cross_entropy(probs: &[Vec<f32>], labels: &[usize]) -> Result<f64, NnError> {
-    if probs.is_empty() {
-        return Err(NnError::Training("empty probability set".into()));
-    }
-    if probs.len() != labels.len() {
-        return Err(NnError::Training(format!(
-            "{} prob vectors but {} labels",
-            probs.len(),
-            labels.len()
-        )));
-    }
-    let mut total = 0.0f64;
-    for (p, &y) in probs.iter().zip(labels) {
-        let pv = p.get(y).copied().ok_or_else(|| {
-            NnError::Training(format!("label {y} out of range for {} classes", p.len()))
-        })?;
-        total += -(pv.max(1e-12) as f64).ln();
-    }
-    Ok(total / probs.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,24 +185,5 @@ mod tests {
         assert_eq!(cm.count(0, 1), 2);
         assert!(evaluate(&mut e, &[], &[]).is_err());
         assert!(evaluate(&mut e, &inputs, &labels[..2]).is_err());
-    }
-
-    #[test]
-    fn cross_entropy_basics() {
-        let probs = vec![vec![0.9f32, 0.1], vec![0.2, 0.8]];
-        let ce = mean_cross_entropy(&probs, &[0, 1]).unwrap();
-        let expected = -((0.9f64).ln() + (0.8f64).ln()) / 2.0;
-        assert!((ce - expected).abs() < 1e-6);
-        assert!(mean_cross_entropy(&probs, &[0]).is_err());
-        assert!(mean_cross_entropy(&probs, &[0, 5]).is_err());
-        assert!(mean_cross_entropy(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn cross_entropy_clamps_zero_prob() {
-        let probs = vec![vec![0.0f32, 1.0]];
-        let ce = mean_cross_entropy(&probs, &[0]).unwrap();
-        assert!(ce.is_finite());
-        assert!(ce > 20.0); // -ln(1e-12)
     }
 }

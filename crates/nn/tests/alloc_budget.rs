@@ -7,8 +7,9 @@
 //! thread-local, so tests running in parallel on other threads cannot
 //! move it. Each engine is warmed up first where its arenas are grown
 //! on first use, then pinned at exactly zero allocations per decision.
-//! A pool batch, which copies its chunks for the helper lane, is pinned
-//! at an exact count on the calling thread.
+//! A batch is pinned at its one output `Vec`, and a pool batch, which
+//! copies its chunks for the helper lane, at an exact count on the
+//! calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -185,6 +186,23 @@ fn engine_reuses_its_arena_after_a_batch() {
         i += 1;
     });
     assert_eq!(n, 0, "single decisions after a batch");
+}
+
+#[test]
+fn engine_batch_allocates_only_its_output_at_every_size() {
+    // After a full-size warm-up batch has grown the arenas, a batch of
+    // any size allocates exactly its output `Vec`. The `dense(8)` layer
+    // runs the AVX-512 column tiles where the CPU has them, so their
+    // per-item input block lives on the stack.
+    let xs = inputs();
+    let mut engine = Engine::new(model());
+    engine.classify_batch(&xs).unwrap();
+    for size in 2..=xs.len() {
+        let n = allocations(4, || {
+            engine.classify_batch(&xs[..size]).unwrap();
+        });
+        assert_eq!(n, 4, "Engine<Model>::classify_batch, {size} items");
+    }
 }
 
 #[test]

@@ -60,18 +60,6 @@ impl Sil {
             Sil::Sil4 => PatternKind::TwoOutOfThree,
         }
     }
-
-    /// Maximum tolerable residual dangerous-failure rate per decision for
-    /// experiments that grade coverage (loosely modelled on IEC 61508
-    /// per-hour bands, rescaled to per-decision for the simulation).
-    pub fn max_residual_failure_rate(self) -> f64 {
-        match self {
-            Sil::Sil1 => 1e-2,
-            Sil::Sil2 => 1e-3,
-            Sil::Sil3 => 1e-4,
-            Sil::Sil4 => 1e-5,
-        }
-    }
 }
 
 impl fmt::Display for Sil {
@@ -142,17 +130,6 @@ mod tests {
             assert!(pair[0] <= pair[1], "recommendations must not de-escalate");
         }
         assert_eq!(Sil::Sil4.recommended_pattern(), PatternKind::TwoOutOfThree);
-    }
-
-    #[test]
-    fn residual_rates_tighten() {
-        let rates: Vec<f64> = Sil::ALL
-            .iter()
-            .map(|s| s.max_residual_failure_rate())
-            .collect();
-        for pair in rates.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
     }
 
     #[test]

@@ -148,21 +148,6 @@ impl CusumDetector {
     pub fn stats(&self) -> (u64, u64) {
         (self.observations, self.alarms)
     }
-
-    /// The fitted reference mean.
-    pub fn reference_mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The fitted reference standard deviation.
-    pub fn reference_std(&self) -> f64 {
-        self.std
-    }
-
-    /// Current positive-side accumulator (diagnostic).
-    pub fn upper_statistic(&self) -> f64 {
-        self.s_hi
-    }
 }
 
 #[cfg(test)]
@@ -247,13 +232,5 @@ mod tests {
     fn update_rejects_nan() {
         let mut det = CusumDetector::fit(&reference(8), 0.5, 5.0).unwrap();
         assert!(det.update(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn accessors() {
-        let det = CusumDetector::fit(&reference(9), 0.5, 5.0).unwrap();
-        assert!((det.reference_mean() - 10.0).abs() < 0.3);
-        assert!((det.reference_std() - 1.0).abs() < 0.2);
-        assert_eq!(det.upper_statistic(), 0.0);
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! The f32 dense kernel ([`dense_into`], [`dense_batch_into`]) runs the
 //! widest rung of a ladder detected once at runtime: a portable tile on
-//! every CPU, and row-lane tiles on 512-bit registers where the CPU has
-//! `avx512f`. Both rungs run every output's definitional f64 chain, so
+//! every CPU, and tiles on 512-bit registers where the CPU has `avx512f`
+//! (row-lane tiles for one item, column tiles for a batch of two or
+//! more). Both rungs run every output's definitional f64 chain, so
 //! every non-NaN output is bit-identical across rungs and a NaN output
 //! is NaN on both. NaN payloads are not pinned: which NaN operand an add
 //! or multiply propagates is the instruction's choice, so a signalling
@@ -62,9 +63,11 @@ pub fn dense_into(
 /// Each weight row is streamed from memory once per *batch* instead of
 /// once per item. The chains run as tiles of independent chains, so the
 /// f64 add latency is hidden at every batch size: with `avx512f`, sixteen
-/// (then eight) output rows in zmm lanes against two items (then one),
-/// and on the portable rung eight rows against two items (then one).
-/// Rows the wide tiles leave take the portable tile. No tile changes a
+/// (then eight) output rows in zmm lanes against the one item of a batch
+/// of one, and in a batch eight rows against eight items (then the last
+/// one to seven), each weight block transposed once per tile; on the
+/// portable rung eight rows against two items (then one). Rows the wide
+/// tiles leave take the portable tile. No tile changes a
 /// chain's own operation sequence, so every non-NaN output is
 /// bit-identical to running [`dense_into`] on each item on any rung —
 /// pinned against a scalar reference for every row and item remainder
@@ -331,25 +334,32 @@ impl DensePath {
 /// The AVX-512 rung of the f32 dense kernel: each zmm lane carries one
 /// output row's f64 chain, eight rows to a register.
 ///
-/// A step of eight inputs widens each row's weights and the item's
-/// inputs to f64 and forms the row's eight products (exact, as in the
-/// portable tile), transposes them in registers so that vector `k`
-/// holds input `k`'s product for all eight rows, and adds the eight
-/// vectors into the row-lane accumulator in input order. Each lane so
+/// For a batch of one, a step of eight inputs widens each row's weights
+/// and the item's inputs to f64 and forms the row's eight products
+/// (exact, as in the portable tile), transposes them in registers so
+/// that vector `k` holds input `k`'s product for all eight rows, and
+/// adds the eight vectors into the row-lane accumulator in input order.
+/// For a batch of two or more, the column tiles transpose the widened
+/// weights instead, once per step and tile, so that vector `k` holds
+/// input `k`'s weight for all eight rows; every item of the tile then
+/// adds `column_k · x_k` for k = 0..8 in input order, its inputs widened
+/// into a stack block and broadcast from memory. Either way each lane
 /// runs the definitional chain — bias seed, then `acc += w·x` per input
-/// in order, one rounding per add — and matches the portable tile bit
-/// for bit. No multiply is fused into its add: Rust's `avx512f` implies
-/// `fma`, but the products and adds are separate intrinsics, which LLVM
-/// never contracts without fast-math flags. Tiles are sixteen rows (two
-/// accumulators) or eight against two items or one; rows past the last
-/// multiple of eight are left to the portable tile, and inputs past the
-/// last multiple of eight run as a scalar tail on each lane.
+/// in order, one exact product and one rounding per add — and matches
+/// the portable tile bit for bit. No multiply is fused into its add:
+/// Rust's `avx512f` implies `fma`, but the products and adds are
+/// separate intrinsics, which LLVM never contracts without fast-math
+/// flags. A batch of one runs tiles of sixteen rows (two accumulators)
+/// or eight; a batch of two or more runs eight rows against eight items,
+/// then one tile of the last one to seven. Rows past the last multiple
+/// of eight are left to the portable tile, and inputs past the last
+/// multiple of eight run as a scalar tail on each lane.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::{
         __m512d, _mm256_setr_ps, _mm512_add_pd, _mm512_cvtps_pd, _mm512_cvtsd_f64, _mm512_mul_pd,
-        _mm512_permutex2var_pd, _mm512_permutexvar_pd, _mm512_set1_epi64, _mm512_setr_epi64,
-        _mm512_setzero_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd,
+        _mm512_permutex2var_pd, _mm512_permutexvar_pd, _mm512_set1_epi64, _mm512_set1_pd,
+        _mm512_setr_epi64, _mm512_setzero_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd,
     };
 
     use super::DenseArena;
@@ -358,6 +368,10 @@ mod avx512 {
     const LANES: usize = 8;
     /// Inputs per step.
     const STEP: usize = 8;
+    /// Inputs per stack block of the column tiles: 32 steps, so an input
+    /// row of up to 256 is widened once per call, in 16 KB of stack at
+    /// eight items.
+    const BLOCK: usize = 32 * STEP;
 
     /// A row of `inputs` values split into whole steps and the tail.
     type Steps<'a> = (&'a [[f32; STEP]], &'a [f32]);
@@ -368,8 +382,8 @@ mod avx512 {
     }
 
     /// Computes output rows `0..k` of the arena for the largest multiple
-    /// `k` of eight rows, and returns `k` (0, computing nothing, on a
-    /// CPU without `avx512f`).
+    /// `k` of eight rows, and returns `k` (0, computing nothing, for an
+    /// empty batch or on a CPU without `avx512f`).
     ///
     /// Like the CRC fold's dispatch, this is an entry into
     /// `#[target_feature]` code whose only obligation is the CPU
@@ -384,17 +398,134 @@ mod avx512 {
         dst: &mut [f32],
         arena: DenseArena,
     ) -> usize {
-        if !available() {
+        if !available() || arena.batch == 0 {
             return 0;
         }
         #[allow(unsafe_code)]
         // SAFETY: `available()` just confirmed avx512f on this CPU, the
-        // only feature `dense_tiles` and its callees enable.
+        // only feature `dense_tiles`, `dense_columns` and their callees
+        // enable.
         unsafe {
-            dense_tiles(weights, bias, src, dst, arena)
+            if arena.batch >= 2 {
+                dense_columns(weights, bias, src, dst, arena)
+            } else {
+                dense_tiles(weights, bias, src, dst, arena)
+            }
         }
     }
 
+    /// [`dense_rows`] for a batch of two or more items: column tiles of
+    /// eight items, then one tile of the last one to seven. Out of line,
+    /// so that its tiles never change how the batch-of-one tiles are
+    /// compiled.
+    #[target_feature(enable = "avx512f")]
+    #[inline(never)]
+    fn dense_columns(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+    ) -> usize {
+        let mut item = 0;
+        while arena.batch - item >= 8 {
+            column_tile::<8>(weights, bias, src, dst, arena, item);
+            item += 8;
+        }
+        match arena.batch - item {
+            7 => column_tile::<7>(weights, bias, src, dst, arena, item),
+            6 => column_tile::<6>(weights, bias, src, dst, arena, item),
+            5 => column_tile::<5>(weights, bias, src, dst, arena, item),
+            4 => column_tile::<4>(weights, bias, src, dst, arena, item),
+            3 => column_tile::<3>(weights, bias, src, dst, arena, item),
+            2 => column_tile::<2>(weights, bias, src, dst, arena, item),
+            1 => column_tile::<1>(weights, bias, src, dst, arena, item),
+            _ => {}
+        }
+        arena.outputs / LANES * LANES
+    }
+
+    /// One column tile: items `item..item + C` against every whole
+    /// eight-row group, one group at a time with one accumulator per
+    /// item.
+    ///
+    /// Each step transposes the group's widened weights once into
+    /// columns, shared by all `C` items. The items' inputs are widened
+    /// to f64 a [`BLOCK`] at a time into a stack array, so each
+    /// broadcast `x_k` is a memory operand of its multiply; when one
+    /// block holds every step, the first group's widening serves them
+    /// all.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn column_tile<const C: usize>(
+        weights: &[f32],
+        bias: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        arena: DenseArena,
+        item: usize,
+    ) {
+        let n = arena.inputs;
+        let mut xs: [Steps; C] = [(&[], &[]); C];
+        for (c, x) in xs.iter_mut().enumerate() {
+            *x = src[(item + c) * arena.src_stride..][..n].as_chunks::<STEP>();
+        }
+        let steps = n / STEP;
+        let mut x = [[0.0f64; BLOCK]; C];
+        let mut o = 0;
+        while arena.outputs - o >= LANES {
+            let mut rows: [Steps; LANES] = [(&[], &[]); LANES];
+            for (r, row) in rows.iter_mut().enumerate() {
+                *row = weights[(o + r) * n..][..n].as_chunks::<STEP>();
+            }
+            let b = &bias[o..][..LANES];
+            let mut acc = [widen(&b[..4], &b[4..]); C];
+            let mut start = 0;
+            while start < steps {
+                let end = steps.min(start + BLOCK / STEP);
+                if o == 0 || steps > BLOCK / STEP {
+                    for (x_c, xs_c) in x.iter_mut().zip(&xs) {
+                        for (wide, v) in x_c.iter_mut().zip(xs_c.0[start..end].as_flattened()) {
+                            *wide = *v as f64;
+                        }
+                    }
+                }
+                for step in start..end {
+                    // This step's weights as columns: vector `k` holds
+                    // input `k`'s weight for rows 0–7.
+                    let mut lo = [_mm512_setzero_pd(); 4];
+                    let mut hi = [_mm512_setzero_pd(); 4];
+                    for r in 0..4 {
+                        let (a, b) = (&rows[r].0[step], &rows[r + 4].0[step]);
+                        lo[r] = widen(&a[..4], &b[..4]);
+                        hi[r] = widen(&a[4..], &b[4..]);
+                    }
+                    let (lo, hi) = (transpose(lo), transpose(hi));
+                    let cols = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+                    for (x_c, acc_c) in x.iter().zip(&mut acc) {
+                        let x_s = &x_c[(step - start) * STEP..][..STEP];
+                        for (&col, &x_k) in cols.iter().zip(x_s) {
+                            *acc_c = _mm512_add_pd(*acc_c, _mm512_mul_pd(col, _mm512_set1_pd(x_k)));
+                        }
+                    }
+                }
+                start = end;
+            }
+            for (c, &acc_c) in acc.iter().enumerate() {
+                for (r, (_, w_tail)) in rows.iter().enumerate() {
+                    let mut a = lane(acc_c, r);
+                    for (w, x) in w_tail.iter().zip(xs[c].1) {
+                        a += *w as f64 * *x as f64;
+                    }
+                    dst[(item + c) * arena.dst_stride + o + r] = a as f32;
+                }
+            }
+            o += LANES;
+        }
+    }
+
+    /// [`dense_rows`] for a batch of one: row-lane tiles of sixteen rows,
+    /// then eight.
     #[target_feature(enable = "avx512f")]
     fn dense_tiles(
         weights: &[f32],
@@ -405,36 +536,14 @@ mod avx512 {
     ) -> usize {
         let mut o = 0;
         while arena.outputs - o >= 2 * LANES {
-            tile_rows::<2>(weights, bias, src, dst, arena, o);
+            tile::<2>(weights, bias, src, dst, arena, o);
             o += 2 * LANES;
         }
         if arena.outputs - o >= LANES {
-            tile_rows::<1>(weights, bias, src, dst, arena, o);
+            tile::<1>(weights, bias, src, dst, arena, o);
             o += LANES;
         }
         o
-    }
-
-    /// Output rows `o..o + 8G` for every item: pairs of items, then a
-    /// last single item.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn tile_rows<const G: usize>(
-        weights: &[f32],
-        bias: &[f32],
-        src: &[f32],
-        dst: &mut [f32],
-        arena: DenseArena,
-        o: usize,
-    ) {
-        let mut item = 0;
-        while arena.batch - item >= 2 {
-            tile::<G, 2>(weights, bias, src, dst, arena, o, item);
-            item += 2;
-        }
-        if item < arena.batch {
-            tile::<G, 1>(weights, bias, src, dst, arena, o, item);
-        }
     }
 
     /// Four f32 values from `lo` and four from `hi`, widened to f64 in
@@ -476,18 +585,17 @@ mod avx512 {
         _mm512_cvtsd_f64(_mm512_permutexvar_pd(_mm512_set1_epi64(r as i64), v))
     }
 
-    /// One tile: output rows `o..o + 8G` against items `item..item + C`,
-    /// one accumulator per (eight-row group, item).
+    /// One tile: output rows `o..o + 8G` against the one item of a batch
+    /// of one, one accumulator per eight-row group.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn tile<const G: usize, const C: usize>(
+    fn tile<const G: usize>(
         weights: &[f32],
         bias: &[f32],
         src: &[f32],
         dst: &mut [f32],
         arena: DenseArena,
         o: usize,
-        item: usize,
     ) {
         // No closures here: a closure inherits this function's target
         // features, and `std::array::from_fn` (which has none) could
@@ -499,51 +607,41 @@ mod avx512 {
                 *row = weights[(o + g * LANES + r) * n..][..n].as_chunks::<STEP>();
             }
         }
-        let mut xs: [Steps; C] = [(&[], &[]); C];
-        for (c, x) in xs.iter_mut().enumerate() {
-            *x = src[(item + c) * arena.src_stride..][..n].as_chunks::<STEP>();
-        }
-        let mut acc = [[_mm512_setzero_pd(); C]; G];
+        let xs: Steps = src[..n].as_chunks::<STEP>();
+        let mut acc = [_mm512_setzero_pd(); G];
         for (g, acc_g) in acc.iter_mut().enumerate() {
             let b = &bias[o + g * LANES..][..LANES];
-            *acc_g = [widen(&b[..4], &b[4..]); C];
+            *acc_g = widen(&b[..4], &b[4..]);
         }
         for step in 0..n / STEP {
-            // Each item's inputs 0–3 (then 4–7) of the step in both
+            // The item's inputs 0–3 (then 4–7) of the step in both
             // halves, to meet rows r and r + 4 side by side.
-            let mut x = [[_mm512_setzero_pd(); 2]; C];
-            for (x_c, xs_c) in x.iter_mut().zip(&xs) {
-                let v = &xs_c.0[step];
-                *x_c = [widen(&v[..4], &v[..4]), widen(&v[4..], &v[4..])];
-            }
+            let v = &xs.0[step];
+            let x = [widen(&v[..4], &v[..4]), widen(&v[4..], &v[4..])];
             for (rows_g, acc_g) in rows.iter().zip(&mut acc) {
                 let mut w = [[_mm512_setzero_pd(); 2]; 4];
                 for (r, w_r) in w.iter_mut().enumerate() {
                     let (a, b) = (&rows_g[r].0[step], &rows_g[r + 4].0[step]);
                     *w_r = [widen(&a[..4], &b[..4]), widen(&a[4..], &b[4..])];
                 }
-                for (x_c, acc_gc) in x.iter().zip(acc_g.iter_mut()) {
-                    for h in 0..2 {
-                        let mut products = [_mm512_setzero_pd(); 4];
-                        for (p, w_r) in products.iter_mut().zip(&w) {
-                            *p = _mm512_mul_pd(w_r[h], x_c[h]);
-                        }
-                        for p in transpose(products) {
-                            *acc_gc = _mm512_add_pd(*acc_gc, p);
-                        }
+                for (h, &x_h) in x.iter().enumerate() {
+                    let mut products = [_mm512_setzero_pd(); 4];
+                    for (p, w_r) in products.iter_mut().zip(&w) {
+                        *p = _mm512_mul_pd(w_r[h], x_h);
+                    }
+                    for p in transpose(products) {
+                        *acc_g = _mm512_add_pd(*acc_g, p);
                     }
                 }
             }
         }
-        for (g, (rows_g, acc_g)) in rows.iter().zip(&acc).enumerate() {
-            for (c, &acc_gc) in acc_g.iter().enumerate() {
-                for (r, (_, w_tail)) in rows_g.iter().enumerate() {
-                    let mut a = lane(acc_gc, r);
-                    for (w, x) in w_tail.iter().zip(xs[c].1) {
-                        a += *w as f64 * *x as f64;
-                    }
-                    dst[(item + c) * arena.dst_stride + o + g * LANES + r] = a as f32;
+        for (g, (rows_g, &acc_g)) in rows.iter().zip(&acc).enumerate() {
+            for (r, (_, w_tail)) in rows_g.iter().enumerate() {
+                let mut a = lane(acc_g, r);
+                for (w, x) in w_tail.iter().zip(xs.1) {
+                    a += *w as f64 * *x as f64;
                 }
+                dst[o + g * LANES + r] = a as f32;
             }
         }
     }
@@ -584,10 +682,10 @@ pub fn conv2d_into(
         ));
     }
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, k_h, k_w, stride, padding)?;
-    check_len(x, in_c * in_h * in_w)?;
-    check_len(weights, out_c * in_c * k_h * k_w)?;
+    check_len(x, volume(&[in_c, in_h, in_w])?)?;
+    check_len(weights, volume(&[out_c, in_c, k_h, k_w])?)?;
     check_len(bias, out_c)?;
-    check_len(out, out_c * out_h * out_w)?;
+    check_len(out, volume(&[out_c, out_h, out_w])?)?;
 
     for oc in 0..out_c {
         for oy in 0..out_h {
@@ -623,7 +721,8 @@ pub fn conv2d_into(
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] if the window does not fit.
+/// Returns [`TensorError::InvalidArgument`] if the window does not fit or
+/// a padded extent exceeds `isize::MAX`.
 pub fn conv2d_output_dims(
     in_h: usize,
     in_w: usize,
@@ -637,8 +736,20 @@ pub fn conv2d_output_dims(
             "stride must be non-zero".into(),
         ));
     }
-    let padded_h = in_h + 2 * padding;
-    let padded_w = in_w + 2 * padding;
+    // Bounded by `isize::MAX`, so the kernels' signed window offsets
+    // cannot wrap either.
+    let padded = |n: usize| {
+        padding
+            .checked_mul(2)
+            .and_then(|p| p.checked_add(n))
+            .filter(|&p| isize::try_from(p).is_ok())
+            .ok_or_else(|| {
+                TensorError::InvalidArgument(format!(
+                    "input extent {n} with padding {padding} overflows"
+                ))
+            })
+    };
+    let (padded_h, padded_w) = (padded(in_h)?, padded(in_w)?);
     if k_h == 0 || k_w == 0 || k_h > padded_h || k_w > padded_w {
         return Err(TensorError::InvalidArgument(format!(
             "kernel {k_h}x{k_w} does not fit input {in_h}x{in_w} with padding {padding}"
@@ -664,8 +775,8 @@ pub fn maxpool2d_into(
     stride: usize,
 ) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, pool, pool, stride, 0)?;
-    check_len(x, channels * in_h * in_w)?;
-    check_len(out, channels * out_h * out_w)?;
+    check_len(x, volume(&[channels, in_h, in_w])?)?;
+    check_len(out, volume(&[channels, out_h, out_w])?)?;
     for c in 0..channels {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -701,8 +812,8 @@ pub fn avgpool2d_into(
     stride: usize,
 ) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, pool, pool, stride, 0)?;
-    check_len(x, channels * in_h * in_w)?;
-    check_len(out, channels * out_h * out_w)?;
+    check_len(x, volume(&[channels, in_h, in_w])?)?;
+    check_len(out, volume(&[channels, out_h, out_w])?)?;
     let denom = (pool * pool) as f64;
     for c in 0..channels {
         for oy in 0..out_h {
@@ -767,19 +878,6 @@ pub fn softmax_into(x: &[f32], out: &mut [f32]) -> Result<(), TensorError> {
     }
     for o in out.iter_mut() {
         *o = (*o as f64 / denom) as f32;
-    }
-    Ok(())
-}
-
-/// Sigmoid, elementwise.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if lengths differ.
-pub fn sigmoid_into(x: &[f32], out: &mut [f32]) -> Result<(), TensorError> {
-    check_len(out, x.len())?;
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = (1.0 / (1.0 + (-v as f64).exp())) as f32;
     }
     Ok(())
 }
@@ -924,10 +1022,10 @@ pub fn conv2d_q16_into(
     padding: usize,
 ) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, k_h, k_w, stride, padding)?;
-    check_len(x, in_c * in_h * in_w)?;
-    check_len(weights, out_c * in_c * k_h * k_w)?;
+    check_len(x, volume(&[in_c, in_h, in_w])?)?;
+    check_len(weights, volume(&[out_c, in_c, k_h, k_w])?)?;
     check_len(bias, out_c)?;
-    check_len(out, out_c * out_h * out_w)?;
+    check_len(out, volume(&[out_c, out_h, out_w])?)?;
     for oc in 0..out_c {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -973,8 +1071,8 @@ pub fn maxpool2d_q16_into(
     stride: usize,
 ) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, pool, pool, stride, 0)?;
-    check_len(x, channels * in_h * in_w)?;
-    check_len(out, channels * out_h * out_w)?;
+    check_len(x, volume(&[channels, in_h, in_w])?)?;
+    check_len(out, volume(&[channels, out_h, out_w])?)?;
     for c in 0..channels {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -1004,6 +1102,16 @@ fn q32_32_to_q16_16(acc: i64) -> Q16_16 {
     } else {
         Q16_16::from_bits(rounded as i32)
     }
+}
+
+/// The element count of a tensor with these dimensions, or
+/// [`TensorError::InvalidArgument`] when it overflows `usize`.
+fn volume(dims: &[usize]) -> Result<usize, TensorError> {
+    dims.iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| {
+            TensorError::InvalidArgument(format!("tensor size {dims:?} overflows usize"))
+        })
 }
 
 fn check_len<T>(slice: &[T], expected: usize) -> Result<(), TensorError> {
@@ -1158,16 +1266,6 @@ mod tests {
     fn softmax_empty_is_error() {
         let mut out: [f32; 0] = [];
         assert_eq!(softmax_into(&[], &mut out), Err(TensorError::EmptyInput));
-    }
-
-    #[test]
-    fn sigmoid_midpoint() {
-        let x = [0.0, 100.0, -100.0];
-        let mut out = [0.0; 3];
-        sigmoid_into(&x, &mut out).unwrap();
-        assert_eq!(out[0], 0.5);
-        assert!(out[1] > 0.999);
-        assert!(out[2] < 0.001);
     }
 
     #[test]
@@ -1349,7 +1447,9 @@ mod tests {
         // small ones and then cancel exactly: the f32 result depends on
         // which small terms each partial sum absorbed, i.e. on the add
         // order. Rows 1..=40 cover the 16-row, 8-row and remainder tiles,
-        // inputs every residue mod 8 around zero, one and several steps.
+        // inputs every residue mod 8 around zero, one and several steps
+        // and across the column tiles' 256-input blocks, and batches
+        // 0..=17 two full eight-item column tiles and every remainder.
         let mut rng = crate::DetRng::new(25);
         let mut value = || {
             let sign = if rng.below(2) == 0 { 1.0f32 } else { -1.0 };
@@ -1361,8 +1461,8 @@ mod tests {
         };
         for path in runnable_dense_paths() {
             for outputs in 1..=40 {
-                for inputs in (0..=17).chain([31, 64, 69]) {
-                    for batch in 0..=9 {
+                for inputs in (0..=17).chain([31, 64, 69, 72, 135, 256, 264, 527]) {
+                    for batch in 0..=17 {
                         let arena = DenseArena {
                             inputs,
                             outputs,
@@ -1490,5 +1590,69 @@ mod tests {
             dense_into(&w, &b, &src, &mut dst[..2], big, 2),
             Err(TensorError::InvalidArgument(_))
         ));
+    }
+
+    #[test]
+    fn conv_and_pool_reject_wrapping_sizes() {
+        let overflow =
+            |r: Result<(), TensorError>| matches!(r, Err(TensorError::InvalidArgument(_)));
+        // `in_h + 2 * padding` wraps to 6, where the 3×3 window would fit.
+        assert!(matches!(
+            conv2d_output_dims(6, 6, 3, 3, 1, usize::MAX / 2 + 1),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // A padded extent past `isize::MAX` would wrap the signed offsets.
+        assert!(conv2d_output_dims(6, 6, 3, 3, 1, 1 << 62).is_err());
+        // `channels * in_h * in_w` wraps to 0, so an empty input would pass
+        // an unchecked length test.
+        let (huge, x, mut out) = (1usize << 62, [0.0f32; 0], [0.0f32; 1]);
+        assert!(overflow(conv2d_into(
+            &x,
+            &[1.0; 4],
+            &[0.0],
+            &mut out,
+            huge,
+            2,
+            2,
+            1,
+            1,
+            1,
+            1,
+            0
+        )));
+        assert!(overflow(conv2d_into(
+            &[0.0; 4],
+            &x,
+            &[0.0],
+            &mut out,
+            1,
+            2,
+            2,
+            huge,
+            2,
+            2,
+            1,
+            0
+        )));
+        assert!(overflow(maxpool2d_into(&x, &mut out, huge, 2, 2, 2, 2)));
+        assert!(overflow(avgpool2d_into(&x, &mut out, huge, 2, 2, 2, 2)));
+        let (xq, mut outq) = ([Q16_16::ZERO; 0], [Q16_16::ZERO; 1]);
+        assert!(overflow(conv2d_q16_into(
+            &xq,
+            &[Q16_16::ONE; 4],
+            &[Q16_16::ZERO],
+            &mut outq,
+            huge,
+            2,
+            2,
+            1,
+            1,
+            1,
+            1,
+            0
+        )));
+        assert!(overflow(maxpool2d_q16_into(
+            &xq, &mut outq, huge, 2, 2, 2, 2
+        )));
     }
 }

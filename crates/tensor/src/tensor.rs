@@ -152,15 +152,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape(&self, shape: Shape) -> Result<Tensor, TensorError> {
-        Tensor::from_vec(shape, self.data.clone())
-    }
-
     /// Applies a function to every element, producing a new tensor.
     pub fn map<F: FnMut(f32) -> f32>(&self, mut f: F) -> Tensor {
         Tensor {
@@ -316,25 +307,6 @@ impl Tensor {
             .fold(0.0f64, |acc, (&a, &b)| acc + a as f64 * b as f64))
     }
 
-    /// Maximum absolute difference between two tensors of equal shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Tensor) -> Result<f64, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape,
-                right: other.shape,
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .fold(0.0f64, |acc, (&a, &b)| acc.max((a as f64 - b as f64).abs())))
-    }
-
     /// Whether every element is finite (no NaN or infinity).
     ///
     /// The runtime supervisors use this as a cheap plausibility check on
@@ -469,14 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_slice_1d(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let r = t.reshape(Shape::matrix(2, 2)).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(Shape::matrix(3, 2)).is_err());
-    }
-
-    #[test]
     fn deterministic_random_tensors() {
         let mut r1 = DetRng::new(99);
         let mut r2 = DetRng::new(99);
@@ -493,13 +457,6 @@ mod tests {
         assert!(!t.all_finite());
         t.as_mut_slice()[1] = f32::INFINITY;
         assert!(!t.all_finite());
-    }
-
-    #[test]
-    fn max_abs_diff_works() {
-        let a = Tensor::from_slice_1d(&[1.0, 2.0]).unwrap();
-        let b = Tensor::from_slice_1d(&[1.5, -1.0]).unwrap();
-        assert_eq!(a.max_abs_diff(&b).unwrap(), 3.0);
     }
 
     #[test]

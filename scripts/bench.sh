@@ -84,3 +84,22 @@ else
     echo "error: could not extract e16 medians from $OUT" >&2
     exit 1
 fi
+
+# Perf floor for batching: 16 requests as one batch must cost at most
+# 85% of the same 16 served one at a time. The AVX-512 column tiles
+# transpose each weight block once per eight items, which puts the ratio
+# near 50% (row tiles that transposed once per item read 85-90%).
+BATCH1=$(median "e16_fused/requests16_batch1")
+BATCH16=$(median "e16_fused/requests16_batch16")
+if [[ -n "$BATCH1" && -n "$BATCH16" && "$BATCH1" -gt 0 ]]; then
+    RATIO_X100=$((BATCH16 * 100 / BATCH1))
+    echo "batch16/batch1 ratio: ${RATIO_X100}% (batch16 ${BATCH16}ns vs batch1 ${BATCH1}ns)"
+    if [[ "$RATIO_X100" -gt 85 ]]; then
+        echo "error: 16 requests as one batch cost ${RATIO_X100}% of batch 1 (>85%)." >&2
+        echo "       The dense batch tiles regressed; see crates/tensor/src/ops.rs." >&2
+        exit 1
+    fi
+else
+    echo "error: could not extract e16 batch medians from $OUT" >&2
+    exit 1
+fi
